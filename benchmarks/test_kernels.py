@@ -1,8 +1,11 @@
 """Benchmark-regression harness for the CSR kernel layer.
 
-Times every kernel-enabled function under both backends on snapshots of a
-generated Renren stream, asserts the results are bit-identical while
-timing, and reports per-kernel plus aggregate speedups.
+Times every library graph algorithm against its dict/set oracle
+(``tests/oracles``) on snapshots of a generated Renren stream, asserts the
+results are bit-identical while timing, and reports per-kernel plus
+aggregate speedups.  The oracles live under ``tests/``, so the repo root
+must be importable: ``PYTHONPATH=src:.`` for the script entry point
+(``python -m pytest`` from the repo root adds it already).
 
 Two entry points:
 
@@ -10,7 +13,7 @@ Two entry points:
   test: aggregate CSR speedup must be at least 5x on presets.small.
 * ``python benchmarks/test_kernels.py [--quick] [--out BENCH_kernels.json]``
   — the CI smoke harness: ``--quick`` runs a seconds-long workload and
-  fails (exit 1) if CSR is slower than Python in aggregate; ``--out``
+  fails (exit 1) if CSR is slower than the oracles in aggregate; ``--out``
   writes the measurements as JSON.
 
 The CSR timings charge the per-snapshot ``CSRGraph`` build to the CSR
@@ -34,6 +37,7 @@ from repro.kernels.csr import CSRGraph
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering
 from repro.metrics.paths import average_path_length_sampled
+from tests import oracles
 
 SPEEDUP_FLOOR = 5.0  # default scale
 QUICK_FLOOR = 1.0  # smoke workload: CSR must simply not be slower
@@ -47,24 +51,33 @@ _PRESETS = {
 
 
 def _kernel_suite(path_sample: int, clustering_sample: int):
-    """name → fn(graph, csr, backend) for every kernel-enabled function."""
+    """name → (oracle fn(graph), library fn(graph, csr)) for every kernel."""
     return {
-        "average_path_length": lambda g, csr, b: average_path_length_sampled(
-            g, path_sample, rng=7, backend=b, csr=csr
+        "average_path_length": (
+            lambda g: oracles.average_path_length_sampled(g, path_sample, rng=7),
+            lambda g, csr: average_path_length_sampled(g, path_sample, rng=7, csr=csr),
         ),
-        "average_clustering": lambda g, csr, b: average_clustering(
-            g, clustering_sample, rng=7, backend=b, csr=csr
+        "average_clustering": (
+            lambda g: oracles.average_clustering(g, clustering_sample, rng=7),
+            lambda g, csr: average_clustering(g, clustering_sample, rng=7, csr=csr),
         ),
-        "assortativity": lambda g, csr, b: degree_assortativity(g, backend=b, csr=csr),
-        "connected_components": lambda g, csr, b: float(
-            len(connected_components(g, backend=b, csr=csr))
+        "assortativity": (
+            oracles.degree_assortativity,
+            lambda g, csr: degree_assortativity(g, csr=csr),
         ),
-        "louvain": lambda g, csr, b: louvain(g, delta=0.04, seed=7, backend=b, csr=csr).modularity,
+        "connected_components": (
+            lambda g: float(len(oracles.connected_components(g))),
+            lambda g, csr: float(len(connected_components(g, csr=csr))),
+        ),
+        "louvain": (
+            lambda g: oracles.louvain(g, delta=0.04, seed=7).modularity,
+            lambda g, csr: louvain(g, delta=0.04, seed=7, csr=csr).modularity,
+        ),
     }
 
 
 def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> dict:
-    """Time the kernel suite under both backends; returns the report dict."""
+    """Time the kernel suite against the oracles; returns the report dict."""
     if quick:
         preset = preset or "tiny"
         path_sample, clustering_sample = 60, 300
@@ -88,15 +101,15 @@ def run_bench(quick: bool = False, seed: int = 7, preset: str | None = None) -> 
         began = time.perf_counter()
         csr = CSRGraph.from_snapshot(graph)
         build_s += time.perf_counter() - began
-        for name, fn in suite.items():
+        for name, (oracle_fn, library_fn) in suite.items():
             began = time.perf_counter()
-            py_value = fn(graph, None, "python")
+            py_value = oracle_fn(graph)
             kernels[name]["python_s"] += time.perf_counter() - began
             began = time.perf_counter()
-            csr_value = fn(graph, csr, "csr")
+            csr_value = library_fn(graph, csr)
             kernels[name]["csr_s"] += time.perf_counter() - began
             identical = py_value == csr_value or (math.isnan(py_value) and math.isnan(csr_value))
-            assert identical, f"{name}: backends disagree ({py_value} != {csr_value})"
+            assert identical, f"{name}: library disagrees with oracle ({py_value} != {csr_value})"
 
     for name, row in kernels.items():
         row["speedup"] = row["python_s"] / row["csr_s"] if row["csr_s"] > 0 else float("inf")
@@ -140,7 +153,7 @@ def print_report(report: dict) -> None:
 
 
 def test_kernels_aggregate_speedup():
-    """Default scale: the CSR backend must hold a 5x aggregate speedup."""
+    """Default scale: the CSR kernels must hold a 5x aggregate speedup over the oracles."""
     report = run_bench(quick=False)
     print()
     print_report(report)

@@ -33,12 +33,8 @@ class AnalysisContext:
     ``workers`` and ``cache_dir`` flow to the runtime layer: the metric
     timeseries every Figure-1 panel reads is evaluated in a process pool
     when ``workers > 1`` and persisted/reused across processes when
-    ``cache_dir`` names a directory.  ``backend`` selects the kernel
-    implementation (:mod:`repro.kernels`); the metric timeseries is
-    bit-identical in every combination, and ``backend="delta"`` routes the
-    replay-shaped paths (metric suite, community tracking) through the
-    incremental engine — warm-start Louvain then follows a tolerance
-    contract rather than bit-parity (``docs/incremental.md``).
+    ``cache_dir`` names a directory.  The metric timeseries is
+    bit-identical in every combination.
     """
 
     def __init__(
@@ -49,7 +45,6 @@ class AnalysisContext:
         tracking_delta: float = 0.04,
         workers: int = 1,
         cache_dir: str | Path | None = None,
-        backend: str = "auto",
     ) -> None:
         self.config = config
         self.seed = seed
@@ -57,7 +52,6 @@ class AnalysisContext:
         self.tracking_delta = tracking_delta
         self.workers = workers
         self.cache_dir = cache_dir
-        self.backend = backend
         self._stream: EventStream | None = None
         self._tracker: CommunityTracker | None = None
         self._final_graph: GraphSnapshot | None = None
@@ -91,7 +85,6 @@ class AnalysisContext:
                     interval=self.tracking_interval,
                     delta=self.tracking_delta,
                     seed=self.seed,
-                    backend=self.backend,
                 )
         return self._tracker
 
@@ -115,9 +108,7 @@ class AnalysisContext:
         assortativity), sampled ~40 times over the trace (cached)."""
         if self._metrics is None:
             interval = max(2.0, self.config.days / 40.0)
-            spec = MetricSpec(
-                path_sample=200, clustering_sample=800, seed=self.seed, backend=self.backend
-            )
+            spec = MetricSpec(path_sample=200, clustering_sample=800, seed=self.seed)
             stream = self.stream
             with get_recorder().span("analysis.metrics", interval=interval):
                 self._metrics = compute_metric_timeseries(

@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     comm.add_argument("--delta", type=float, default=0.04)
     comm.add_argument("--min-size", type=int, default=10)
     comm.add_argument("--seed", type=int, default=0)
-    _add_backend_arg(comm)
     _add_trace_arg(comm)
 
     exp = sub.add_parser("experiment", help="run a registered paper experiment (or 'all')")
@@ -251,15 +250,6 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="disable the result cache even if --cache-dir/$REPRO_CACHE_DIR is set",
     )
-    _add_backend_arg(parser)
-
-
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=("auto", "python", "csr", "delta"), default="auto",
-        help="kernel implementation; 'auto' honours $REPRO_BACKEND, else csr; "
-        "'delta' runs the incremental engine where the call supports it",
-    )
 
 
 def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
@@ -397,7 +387,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         path_sample=args.path_sample,
         clustering_sample=args.clustering_sample,
         seed=args.seed,
-        backend=args.backend,
     )
     with _traced(args.trace_out):
         stream = _load_events(args.trace)
@@ -437,7 +426,7 @@ def _cmd_communities(args: argparse.Namespace) -> int:
         stream = materialize(_load_events(args.trace))
         tracker = track_stream(
             stream, interval=args.interval, delta=args.delta,
-            min_size=args.min_size, seed=args.seed, backend=args.backend,
+            min_size=args.min_size, seed=args.seed,
         )
     print(f"{'day':>8} {'communities':>12} {'modularity':>11} {'similarity':>11}")
     for snap in tracker.snapshots:
@@ -521,7 +510,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
         cache_dir=_resolve_cache_dir(args),
-        backend=args.backend,
     )
     targets = list_experiments() if args.experiment == "all" else [args.experiment]
     status = 0

@@ -1,8 +1,8 @@
 """The Louvain community-detection algorithm [Blondel et al. 2008].
 
-Implemented from scratch on weighted adjacency maps so the aggregation
-phase (communities become super-nodes with self-loops) is natural.  Two
-paper-specific behaviours:
+Implemented from scratch: each level holds its weighted graph as flat
+CSR arrays, and aggregation turns communities into super-nodes with
+self-loops.  Two paper-specific behaviours:
 
 * **δ threshold** — each level's local-move phase stops when a full pass
   improves modularity by less than δ, and the level loop stops when a
@@ -17,36 +17,23 @@ Node visit order is shuffled with a seeded RNG, and modularity-gain ties
 resolve to the smallest community label, so results are deterministic for
 a given seed — independent of dict/set iteration order.
 
-Kernel-enabled: ``backend="csr"`` (the ``"auto"`` default) runs the
-flat-array local-move phase from :mod:`repro.kernels.louvain` behind the
-same API and δ semantics, bit-identical for identical RNG draws.
+The level loop is :func:`repro.kernels.louvain.louvain_csr`; the
+dict-of-dicts reference in ``tests/oracles/louvain.py`` pins it
+bit-for-bit.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.community.modularity import modularity, partition_communities
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import resolve_backend
-from repro.kernels.louvain import (
-    MAX_LEVELS as _MAX_LEVELS,
-)
-from repro.kernels.louvain import (
-    MAX_PASSES_PER_LEVEL as _MAX_PASSES_PER_LEVEL,
-)
-from repro.kernels.louvain import (
-    initial_assignment as _initial_assignment,
-)
+from repro.kernels.csr import CSRGraph
+from repro.kernels.louvain import louvain_csr
 from repro.util.rng import make_rng
-
-if TYPE_CHECKING:
-    from repro.kernels.csr import CSRGraph
 
 __all__ = ["louvain", "LouvainResult"]
 
@@ -76,175 +63,26 @@ def louvain(
     seed_partition: Mapping[int, int] | None = None,
     seed: int | np.random.Generator | None = 0,
     *,
-    backend: str = "auto",
     csr: CSRGraph | None = None,
-    touched: Iterable[int] | None = None,
 ) -> LouvainResult:
     """Run Louvain on ``graph`` with stopping threshold ``delta``.
 
     ``seed_partition`` (incremental mode) provides initial community
     labels; nodes missing from it start as singletons.  ``csr`` optionally
     reuses a prebuilt :class:`~repro.kernels.csr.CSRGraph` of the same
-    snapshot when the csr backend is selected.
-
-    ``backend="delta"`` runs the paper's *warm-start* Louvain
-    (:func:`repro.kernels.delta.louvain_warm_csr`): level-0 local moves
-    are restricted to ``touched`` nodes (those whose incident structure
-    changed since ``seed_partition``) plus their neighborhoods.  With no
-    ``touched`` argument, every node absent from ``seed_partition`` counts
-    as touched.  Without a ``seed_partition`` there is nothing to warm
-    from, so the first call runs the ordinary csr level loop.  Warm starts
-    satisfy a tolerance contract, not bit-parity — see
-    ``docs/incremental.md``.
+    snapshot.
     """
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     rng = make_rng(seed)
-    resolved = resolve_backend(backend, allow_delta=True)
-    if resolved == "delta" and seed_partition is not None:
-        from repro.kernels.csr import CSRGraph as _CSRGraph
-        from repro.kernels.delta import louvain_warm_csr
-
-        if touched is None:
-            touched = [u for u in graph.adjacency if u not in seed_partition]
-        touched_arr = np.fromiter(sorted(touched), dtype=np.int64)
-        partition, levels = louvain_warm_csr(
-            csr if csr is not None else _CSRGraph.from_snapshot(graph),
-            delta,
-            dict(seed_partition),
-            touched_arr,
-            rng,
-        )
-        return LouvainResult(
-            partition=partition,
-            modularity=modularity(graph, partition),
-            levels=levels,
-        )
-    if resolved in ("csr", "delta"):
-        from repro.kernels.csr import CSRGraph as _CSRGraph
-        from repro.kernels.louvain import louvain_csr
-
-        partition, levels = louvain_csr(
-            csr if csr is not None else _CSRGraph.from_snapshot(graph),
-            delta,
-            seed_partition,
-            rng,
-        )
-        return LouvainResult(
-            partition=partition,
-            modularity=modularity(graph, partition),
-            levels=levels,
-        )
-    # Working weighted graph: adj[u][v] = weight; self-loops appear as adj[u][u].
-    adj: dict[int, dict[int, float]] = {
-        u: {v: 1.0 for v in nbrs} for u, nbrs in graph.adjacency.items()
-    }
-    # node → set of original nodes it represents.
-    carried: dict[int, set[int]] = {u: {u} for u in adj}
-    assignment = _initial_assignment(adj, seed_partition)
-    levels = 0
-    while levels < _MAX_LEVELS:
-        improved, assignment = _one_level(adj, assignment, delta, rng)
-        levels += 1
-        if not improved:
-            break
-        adj, carried, assignment = _aggregate(adj, carried, assignment)
-    partition = {
-        node: community
-        for super_node, community in assignment.items()
-        for node in carried[super_node]
-    }
+    partition, levels = louvain_csr(
+        csr if csr is not None else CSRGraph.from_snapshot(graph),
+        delta,
+        seed_partition,
+        rng,
+    )
     return LouvainResult(
         partition=partition,
         modularity=modularity(graph, partition),
         levels=levels,
     )
-
-
-# -- internals -------------------------------------------------------------
-# (_initial_assignment and the level/pass caps live in repro.kernels.louvain,
-# shared with the csr kernel so both backends start and stop identically.)
-
-
-def _weighted_degree(adj_u: dict[int, float], u: int) -> float:
-    # Self-loop weight counts twice, the standard convention.
-    return sum(adj_u.values()) + adj_u.get(u, 0.0)
-
-
-def _one_level(
-    adj: dict[int, dict[int, float]],
-    assignment: dict[int, int],
-    delta: float,
-    rng: np.random.Generator,
-) -> tuple[bool, dict[int, int]]:
-    """Local-move phase; returns (made structural progress, new assignment)."""
-    nodes = list(adj)
-    k = {u: _weighted_degree(adj[u], u) for u in nodes}
-    m2 = sum(k.values())  # == 2m
-    if m2 == 0:
-        return False, dict(assignment)
-    assignment = dict(assignment)
-    comm_tot: dict[int, float] = defaultdict(float)
-    for u in nodes:
-        comm_tot[assignment[u]] += k[u]
-    order = [nodes[i] for i in rng.permutation(len(nodes))]
-    any_move = False
-    for _ in range(_MAX_PASSES_PER_LEVEL):
-        pass_gain = 0.0
-        for u in order:
-            cu = assignment[u]
-            ku = k[u]
-            # Weight from u to each neighboring community (excluding self-loop).
-            links: dict[int, float] = defaultdict(float)
-            for v, w in adj[u].items():
-                if v != u:
-                    links[assignment[v]] += w
-            comm_tot[cu] -= ku
-            base = links.get(cu, 0.0) - comm_tot[cu] * ku / m2
-            best_c, best_gain = cu, 0.0
-            # Ascending label order: ties resolve to the smallest community
-            # label regardless of dict insertion order, matching the csr
-            # kernel's rank-sorted first-max scan.
-            for c in sorted(links):
-                if c == cu:
-                    continue
-                gain = links[c] - comm_tot[c] * ku / m2
-                if gain - base > best_gain:
-                    best_gain = gain - base
-                    best_c = c
-            comm_tot[best_c] += ku
-            if best_c != cu:
-                assignment[u] = best_c
-                any_move = True
-                pass_gain += 2.0 * best_gain / m2  # ΔQ of this move
-        if pass_gain < delta:
-            break
-    return any_move, assignment
-
-
-def _aggregate(
-    adj: dict[int, dict[int, float]],
-    carried: dict[int, set[int]],
-    assignment: dict[int, int],
-) -> tuple[dict[int, dict[int, float]], dict[int, set[int]], dict[int, int]]:
-    """Condense communities into super-nodes (phase 2)."""
-    new_adj: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
-    new_carried: dict[int, set[int]] = defaultdict(set)
-    for u, nbrs in adj.items():
-        cu = assignment[u]
-        new_carried[cu] |= carried[u]
-        for v, w in nbrs.items():
-            cv = assignment[v]
-            if u == v:
-                new_adj[cu][cu] += w
-            elif cu == cv:
-                # Each internal edge visited from both ends; accumulate as
-                # half so the self-loop weight equals the internal weight.
-                new_adj[cu][cu] += w / 2.0
-            else:
-                new_adj[cu][cv] += w
-    condensed = {u: dict(nbrs) for u, nbrs in new_adj.items()}
-    for c in list(new_carried):
-        condensed.setdefault(c, {})
-    new_assignment = {c: c for c in condensed}
-    return condensed, dict(new_carried), new_assignment

@@ -1,7 +1,7 @@
 """Static analysis enforcing the repo's determinism and layering contracts.
 
 The dynamic guarantees of the kernel and runtime layers — bit-identical
-serial/parallel replay, exact python/csr parity — only hold because every
+serial/parallel replay, exact kernel/oracle parity — only hold because every
 hot path avoids unordered iteration, global RNG, and order-sensitive float
 accumulation.  This subpackage checks those invariants *statically*:
 

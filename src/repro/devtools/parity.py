@@ -1,10 +1,14 @@
 """The parity-test manifest backing rule RPL005.
 
-Every function that dispatches on ``backend=`` must either be **covered**
-— mapped here to the parity test that pins its python/csr implementations
-bit-for-bit — or **exempt** with a written reason.  RPL005 flags any
-``backend=``-accepting function in neither table, so a new dispatcher
-cannot land without a parity test (or an argued exemption).
+The library has one implementation of every graph algorithm (the CSR
+kernels), pinned bit-for-bit against the dict/set oracles in
+``tests/oracles/`` by :data:`PARITY_TEST_FILE`.  A function that takes a
+``backend=`` switch would reintroduce a second code path, so it must
+either be **covered** — mapped here to the parity test that pins every
+implementation it dispatches to — or **exempt** with a written reason.
+Both tables are empty today: RPL005 flags any ``backend=``-accepting
+function, so a new dispatcher cannot land without a parity test (or an
+argued exemption).
 
 ``tests/test_devtools_lint.py`` cross-checks this file: every covered
 entry's test reference must actually occur in the parity suite, so the
@@ -14,8 +18,6 @@ manifest cannot silently rot.
 from __future__ import annotations
 
 __all__ = [
-    "DELTA_PARITY_COVERED",
-    "DELTA_PARITY_TEST_FILE",
     "ENGINE_EQUIVALENCE_COVERED",
     "ENGINE_EQUIVALENCE_TEST_FILE",
     "PARITY_COVERED",
@@ -26,34 +28,8 @@ __all__ = [
 # The test module the coverage references point into.
 PARITY_TEST_FILE = "tests/test_kernels_parity.py"
 
-# Dispatcher qualname -> the parity test function that pins both backends.
-PARITY_COVERED: dict[str, str] = {
-    "repro.community.louvain.louvain": "test_louvain_parity",
-    "repro.community.tracking.track_stream": "test_tracking_parity",
-    "repro.graph.components.connected_components": "test_components_parity",
-    "repro.graph.components.largest_component": "test_largest_component_parity",
-    "repro.metrics.assortativity.degree_assortativity": "test_assortativity_parity",
-    "repro.metrics.clustering.average_clustering": "test_average_clustering_parity",
-    "repro.metrics.clustering.local_clustering": "test_local_clustering_parity",
-    "repro.metrics.paths.average_path_length_sampled": "test_path_length_parity",
-}
-
-# The ``"delta"`` backend's parity/tolerance harness.  The incremental
-# engine is a third implementation of the covered dispatchers plus the
-# runtime suite: degree / clustering / assortativity (and the whole
-# MetricSpec timeseries) must be *bit-identical* to the batch backends,
-# while warm-start Louvain carries a documented modularity-tolerance
-# contract instead.  Cross-checked against DELTA_PARITY_TEST_FILE by
-# ``tests/test_devtools_lint.py`` exactly like PARITY_COVERED.
-DELTA_PARITY_TEST_FILE = "tests/test_delta_parity.py"
-
-DELTA_PARITY_COVERED: dict[str, str] = {
-    "repro.community.louvain.louvain": "test_warm_start_tolerance_contract",
-    "repro.community.tracking.track_stream": "test_tracking_delta_backend_runs",
-    "repro.kernels.delta.DeltaCSRGraph.to_csr": "test_delta_csr_matches_batch_build",
-    "repro.kernels.delta.DeltaMetricEngine": "test_engine_metrics_bit_identical",
-    "repro.runtime.parallel.evaluate_timeseries": "test_timeseries_delta_bit_identical",
-}
+# Dispatcher qualname -> the parity test function that pins every backend.
+PARITY_COVERED: dict[str, str] = {}
 
 # Generation-engine dispatchers (``engine="legacy"|"fast"``).  The two
 # engines draw random numbers in different orders, so the contract is
@@ -69,16 +45,4 @@ ENGINE_EQUIVALENCE_COVERED: dict[str, str] = {
 }
 
 # Dispatcher qualname -> why it needs no parity test of its own.
-PARITY_EXEMPT: dict[str, str] = {
-    "repro.analysis.context.AnalysisContext.__init__": (
-        "configuration pass-through; every metric it triggers dispatches "
-        "through a covered function"
-    ),
-    "repro.community.tracking.CommunityTracker.__init__": (
-        "stores the backend for track_stream, whose parity test drives the "
-        "tracker end to end"
-    ),
-    "repro.kernels.backend.resolve_backend": (
-        "the backend resolver itself; has no python/csr twin to compare"
-    ),
-}
+PARITY_EXEMPT: dict[str, str] = {}

@@ -14,7 +14,7 @@ that support *batch* updates and O(1) vectorized sampling:
   across many buckets at once;
 * :class:`SortedKeySet` — membership testing for packed ``(u, v)`` edge
   keys via a sorted base array plus a small unsorted pending tail, merged
-  amortized (the same compaction idea as the delta-CSR edge log).
+  amortized (a log-structured merge: sorted base, small unsorted tail).
 
 Everything here is deterministic and allocation-amortized: no per-event
 Python objects, no hashing, no dict churn.
@@ -283,8 +283,8 @@ class SortedKeySet:
 
     ``contains`` binary-searches the base and linearly checks the pending
     tail; ``add`` appends to the tail and merges it into the base once the
-    tail exceeds ``max(merge_min, len(base) / 4)`` — the same amortization
-    as the delta-CSR append log, so total merge cost is O(n log n).
+    tail exceeds ``max(merge_min, len(base) / 4)``, so total merge cost is
+    O(n log n).
     """
 
     def __init__(self, merge_min: int = 4096) -> None:

@@ -10,11 +10,10 @@ Component ordering is fully deterministic: components sort by size
 component" never depends on traversal order — a requirement for sampled
 metrics to be reproducible across serial, restored, and parallel replays.
 
-``connected_components`` and ``largest_component`` are kernel-enabled:
-``backend="csr"`` (the ``"auto"`` default) runs the frontier-array BFS
-from :mod:`repro.kernels.traversal` and returns identical results.
-Kernel imports stay inside the functions because ``repro.graph.__init__``
-imports this module while :mod:`repro.kernels` imports the graph package.
+``connected_components`` and ``largest_component`` run the frontier-array
+BFS from :mod:`repro.kernels.traversal`.  Kernel imports stay inside the
+functions because ``repro.graph.__init__`` imports this module while
+:mod:`repro.kernels` imports the graph package.
 """
 
 from __future__ import annotations
@@ -39,33 +38,18 @@ __all__ = [
 def connected_components(
     graph: GraphSnapshot,
     *,
-    backend: str = "auto",
     csr: "CSRGraph | None" = None,
 ) -> list[set[int]]:
     """All connected components, largest first (ties: smallest member id)."""
-    from repro.kernels.backend import resolve_backend
+    from repro.kernels.csr import CSRGraph
+    from repro.kernels.traversal import connected_components_csr
 
-    if resolve_backend(backend) == "csr":
-        from repro.kernels.csr import CSRGraph
-        from repro.kernels.traversal import connected_components_csr
-
-        return connected_components_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
-    seen: set[int] = set()
-    components: list[set[int]] = []
-    for root in graph.nodes():
-        if root in seen:
-            continue
-        component = _bfs_component(graph, root)
-        seen |= component
-        components.append(component)
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return components
+    return connected_components_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
 
 
 def largest_component(
     graph: GraphSnapshot,
     *,
-    backend: str = "auto",
     csr: "CSRGraph | None" = None,
 ) -> set[int]:
     """The node set of the largest component (empty graph → empty set).
@@ -73,26 +57,11 @@ def largest_component(
     Equal-size components tie-break on the smallest member id, not on
     traversal order.
     """
-    from repro.kernels.backend import resolve_backend
+    from repro.kernels.csr import CSRGraph
+    from repro.kernels.traversal import largest_component_csr
 
-    if resolve_backend(backend) == "csr":
-        from repro.kernels.csr import CSRGraph
-        from repro.kernels.traversal import largest_component_csr
-
-        members = largest_component_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
-        return set(members.tolist())
-    best: set[int] = set()
-    seen: set[int] = set()
-    for root in graph.nodes():
-        if root in seen:
-            continue
-        component = _bfs_component(graph, root)
-        seen |= component
-        if len(component) > len(best) or (
-            len(component) == len(best) and component and min(component) < min(best)
-        ):
-            best = component
-    return best
+    members = largest_component_csr(csr if csr is not None else CSRGraph.from_snapshot(graph))
+    return set(members.tolist())
 
 
 def bfs_distances(
@@ -156,17 +125,3 @@ def bfs_distance_to_set(
             dist[nbr] = d + 1
             queue.append(nbr)
     return None
-
-
-def _bfs_component(graph: GraphSnapshot, root: int) -> set[int]:
-    component = {root}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        # Builds a set; membership is visit-order-independent and sorting
-        # here would only slow the reference backend's hot path.
-        for nbr in graph.adjacency[node]:  # repro: noqa[RPL001] -- set result, order-free
-            if nbr not in component:
-                component.add(nbr)
-                queue.append(nbr)
-    return component

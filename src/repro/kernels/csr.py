@@ -10,7 +10,7 @@ rows are what the merge-intersection clustering kernels rely on.
 Positions preserve the snapshot's insertion order because the Louvain
 reference implementation visits nodes in dict order: a kernel that
 re-ordered nodes would permute the RNG-shuffled visit sequence and break
-bit-for-bit parity with the Python backend.
+bit-for-bit parity with the Python reference.
 
 Construction reuses :class:`~repro.graph.checkpoint.CSRAdjacency` (the
 replay checkpoint encoding), so a worker that just restored a checkpoint

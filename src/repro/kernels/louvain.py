@@ -1,7 +1,8 @@
 """Array-based Louvain local moves (the flat-array twin of the reference).
 
-The reference keeps the working graph as dict-of-dicts and per-community
-totals in defaultdicts; this kernel keeps the same state in flat arrays:
+The reference (``tests/oracles/louvain.py``) keeps the working graph as
+dict-of-dicts and per-community totals in defaultdicts; this kernel keeps
+the same state in flat arrays:
 
 * the level graph as CSR (``indptr``/``indices``/``weights``) with
   self-loop weights in a separate per-position array;
@@ -12,7 +13,7 @@ totals in defaultdicts; this kernel keeps the same state in flat arrays:
   their community — a state-identical no-op for the reference — while
   degrees, rank compression, and aggregation stay numpy-vectorized.
 
-Bit-for-bit parity with the Python backend holds because every quantity
+Bit-for-bit parity with the reference holds because every quantity
 involved is exact:
 
 * all edge weights are multiples of ``2**-level`` (aggregation halves
@@ -26,7 +27,7 @@ involved is exact:
   smallest-label-wins tie-break;
 * node visit order is the same ``rng.permutation`` over the same node
   ordering (CSR positions preserve adjacency insertion order), so both
-  backends consume identical RNG draws.
+  implementations consume identical RNG draws.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from repro.util.arrays import FloatArray, IntArray
 
 __all__ = ["MAX_LEVELS", "MAX_PASSES_PER_LEVEL", "initial_assignment", "louvain_csr"]
 
-# Shared level/pass caps: both backends must stop identically, so the
-# constants live here in the kernel layer and the reference implementation
-# (repro.community.louvain) imports them downward.
+# Shared level/pass caps: kernel and reference must stop identically, so
+# the constants live here and the reference (tests/oracles/louvain.py)
+# imports them.
 MAX_PASSES_PER_LEVEL = 32
 MAX_LEVELS = 32
 
@@ -54,7 +55,7 @@ def initial_assignment(
 ) -> dict[int, int]:
     """Initial node → label map over ``nodes`` (any iterable of node ids).
 
-    Shared by both backends: the csr kernel passes the CSR position order
+    Shared with the reference: the csr kernel passes the CSR position order
     (equal to adjacency insertion order) so the two start identically.
 
     With a ``seed_partition`` (incremental mode), seed labels are mapped
@@ -145,14 +146,11 @@ def _one_level_arrays(
     node_label: IntArray,
     delta: float,
     rng: np.random.Generator,
-    active: IntArray | None = None,
 ) -> tuple[bool, IntArray, int, int]:
     """Local-move phase; returns (made progress, new labels, passes, moves).
 
-    ``active`` (warm-start mode, :func:`repro.kernels.delta.louvain_warm_csr`)
-    restricts the move scan to the given positions; every other node keeps
-    its label.  ``None`` — the batch default — scans all ``n`` positions
-    and consumes exactly the RNG draws the reference backend consumes.
+    Scans all ``n`` positions in one ``rng.permutation`` order, consuming
+    exactly the RNG draws the reference consumes.
     """
     n = node_label.size
     degrees = np.diff(indptr)
@@ -164,10 +162,7 @@ def _one_level_arrays(
         return False, node_label.copy(), 0, 0
     uniq, comm = np.unique(node_label, return_inverse=True)
     comm_tot = np.bincount(comm, weights=k, minlength=uniq.size)
-    if active is None:
-        order = rng.permutation(n).tolist()
-    else:
-        order = [int(p) for p in rng.permutation(active)]
+    order = rng.permutation(n).tolist()
     # The sequential-move scan is pure Python over flat lists: per-node
     # neighborhoods are short, so list slices beat both per-node numpy
     # calls (call overhead) and the reference's dict-of-dict iteration.

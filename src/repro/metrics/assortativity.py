@@ -4,56 +4,28 @@ The Pearson correlation coefficient of the degrees at either end of each
 edge.  Each undirected edge contributes both orientations, making the
 measure symmetric (the standard Newman definition).
 
-Kernel-enabled: ``backend="csr"`` (the ``"auto"`` default) reduces the
-Pearson sums with four vectorized int64 reductions over the CSR arrays —
-both backends use exact integer arithmetic, so results are identical.
+The Pearson sums are four vectorized int64 reductions over the CSR arrays
+(:func:`repro.kernels.assortativity.degree_assortativity_csr`).
 """
 
 from __future__ import annotations
 
-
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.assortativity import degree_assortativity_csr
-from repro.kernels.backend import resolve_backend
 from repro.kernels.csr import CSRGraph
 
 __all__ = ["degree_assortativity"]
 
 
-def degree_assortativity(
-    graph: GraphSnapshot,
-    *,
-    backend: str = "auto",
-    csr: CSRGraph | None = None,
-) -> float:
+def degree_assortativity(graph: GraphSnapshot, *, csr: CSRGraph | None = None) -> float:
     """Degree correlation over edges; ``nan`` when undefined (e.g. regular graphs).
 
     Accumulates the Pearson sums in exact integer arithmetic, so the result
     is independent of edge iteration order — a requirement for checkpointed
     parallel replay, whose rebuilt adjacency sets may iterate differently
-    than serially grown ones.
+    than serially grown ones.  ``csr`` optionally reuses a prebuilt
+    :class:`CSRGraph` of the same snapshot.
     """
-    if resolve_backend(backend) == "csr":
-        if csr is None:
-            csr = CSRGraph.from_snapshot(graph)
-        return degree_assortativity_csr(csr)
-    adjacency = graph.adjacency
-    # Both orientations of every edge contribute, so the x- and y-series
-    # are permutations of each other: sum(x) == sum(y), sum(x^2) == sum(y^2).
-    n = 0
-    s = 0  # sum of degrees over both orientations
-    ss = 0  # sum of squared degrees over both orientations
-    sxy = 0  # sum of du * dv over both orientations
-    for u, v in graph.edges():
-        du = len(adjacency[u])
-        dv = len(adjacency[v])
-        n += 2
-        s += du + dv
-        ss += du * du + dv * dv
-        sxy += 2 * du * dv
-    if n < 2:
-        return float("nan")
-    var = n * ss - s * s  # n^2 * variance, exact
-    if var == 0:
-        return float("nan")
-    return float((n * sxy - s * s) / var)
+    if csr is None:
+        csr = CSRGraph.from_snapshot(graph)
+    return degree_assortativity_csr(csr)

@@ -5,10 +5,9 @@ neighbors over the maximum possible; the network metric is the mean over
 all nodes (degree < 2 nodes contribute 0, matching the networkx
 convention the community uses as reference).
 
-Kernel-enabled: ``backend="csr"`` (the ``"auto"`` default) counts
-neighbor-neighbor intersections against a boolean membership mask instead
-of probing ``k^2`` Python set pairs.  Counts are exact integers, so both
-backends return identical floats.
+The CSR kernel (:mod:`repro.kernels.clustering`) counts neighbor-neighbor
+intersections against a boolean membership mask instead of probing ``k^2``
+Python set pairs.  Counts are exact integers.
 
 Sampling draws from the *sorted* node pool (not dict insertion order), so
 restored and parallel replays — which rebuild adjacency in a different
@@ -20,41 +19,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import resolve_backend
 from repro.kernels.clustering import average_clustering_csr, local_clustering_csr
 from repro.kernels.csr import CSRGraph
-from repro.util.rng import make_rng
 
 __all__ = ["local_clustering", "average_clustering"]
 
 
-def local_clustering(
-    graph: GraphSnapshot,
-    node: int,
-    *,
-    backend: str = "auto",
-    csr: CSRGraph | None = None,
-) -> float:
+def local_clustering(graph: GraphSnapshot, node: int, *, csr: CSRGraph | None = None) -> float:
     """Clustering coefficient of one node (0.0 when degree < 2)."""
-    if resolve_backend(backend) == "csr":
-        if csr is None:
-            csr = CSRGraph.from_snapshot(graph)
-        return local_clustering_csr(csr, node)
-    neighbors = graph.adjacency[node]
-    k = len(neighbors)
-    if k < 2:
-        return 0.0
-    adjacency = graph.adjacency
-    links = 0
-    # Triangle counting visits every unordered pair exactly once, so the
-    # count is independent of the enumeration order.
-    nbrs = list(neighbors)  # repro: noqa[RPL001] -- pair count, order-free
-    for i, u in enumerate(nbrs):
-        u_adj = adjacency[u]
-        for v in nbrs[i + 1 :]:
-            if v in u_adj:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+    if csr is None:
+        csr = CSRGraph.from_snapshot(graph)
+    return local_clustering_csr(csr, node)
 
 
 def average_clustering(
@@ -62,7 +37,6 @@ def average_clustering(
     sample_size: int | None = None,
     rng: int | np.random.Generator | None = None,
     *,
-    backend: str = "auto",
     csr: CSRGraph | None = None,
 ) -> float:
     """Mean local clustering over all nodes (or a uniform sample).
@@ -70,20 +44,6 @@ def average_clustering(
     ``sample_size`` bounds the work on large snapshots; ``None`` computes
     the exact average.  Returns ``nan`` for an empty graph.
     """
-    if resolve_backend(backend) == "csr":
-        if csr is None:
-            csr = CSRGraph.from_snapshot(graph)
-        return average_clustering_csr(csr, sample_size, rng)
-    if graph.num_nodes == 0:
-        return float("nan")
-    nodes = list(graph.nodes())
-    if sample_size is not None and sample_size < len(nodes):
-        # Sorted pool, same convention as paths.py: sampling must not
-        # depend on adjacency insertion order.
-        pool = np.fromiter(graph.nodes(), dtype=np.int64, count=len(nodes))
-        pool.sort()
-        generator = make_rng(rng)
-        nodes = generator.choice(pool, size=sample_size, replace=False).tolist()
-    return float(
-        np.mean([local_clustering(graph, n, backend="python") for n in nodes])
-    )
+    if csr is None:
+        csr = CSRGraph.from_snapshot(graph)
+    return average_clustering_csr(csr, sample_size, rng)

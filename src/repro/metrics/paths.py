@@ -5,19 +5,17 @@ length computation tractable": 1000 sources from the largest connected
 component, once every three days.  We do the same — BFS from each sampled
 source, averaging distances to all reachable nodes.
 
-Kernel-enabled: ``backend="csr"`` (the ``"auto"`` default) runs the
-frontier-array BFS kernel; sources are drawn from the same sorted pool
-with the same RNG call, and distances accumulate in exact integer
-arithmetic, so both backends return the identical float.
+The BFS is the frontier-array kernel
+(:func:`repro.kernels.traversal.average_path_length_csr`).  Sources are
+drawn from the sorted component, and distances accumulate in exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.components import bfs_distances, largest_component
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import resolve_backend
 from repro.kernels.csr import CSRGraph
 from repro.kernels.traversal import average_path_length_csr
 from repro.util.rng import make_rng
@@ -30,7 +28,6 @@ def average_path_length_sampled(
     sample_size: int = 1000,
     rng: int | np.random.Generator | None = None,
     *,
-    backend: str = "auto",
     csr: CSRGraph | None = None,
 ) -> float:
     """Average hop distance from sampled sources to all reachable nodes.
@@ -42,27 +39,6 @@ def average_path_length_sampled(
     across the metric suite).
     """
     generator = make_rng(rng)
-    if resolve_backend(backend) == "csr":
-        if csr is None:
-            csr = CSRGraph.from_snapshot(graph)
-        return average_path_length_csr(csr, sample_size, generator)
-    component = largest_component(graph, backend="python")
-    if len(component) < 2:
-        return float("nan")
-    # Sort the sampling pool: set iteration order is an implementation
-    # detail, and sampling must not depend on it or parallel replay (which
-    # rebuilds adjacency sets from checkpoints) would drift from serial.
-    members = np.fromiter(component, dtype=np.int64, count=len(component))
-    members.sort()
-    k = min(sample_size, members.size)
-    sources = generator.choice(members, size=k, replace=False)
-    total = 0
-    count = 0
-    for source in sources:
-        for node, dist in bfs_distances(graph, int(source)).items():
-            if node != source:
-                total += dist
-                count += 1
-    if count == 0:
-        return float("nan")
-    return total / count
+    if csr is None:
+        csr = CSRGraph.from_snapshot(graph)
+    return average_path_length_csr(csr, sample_size, generator)

@@ -76,10 +76,7 @@ def _profile(
     only the parent process ever touches the result cache, so per-worker
     cache columns are exact, not estimates.
     """
-    from repro.kernels.backend import resolve_backend
-
     profile: dict[str, Any] = base if base is not None else {
-        "backend": resolve_backend(spec.backend, allow_delta=True),
         "workers": workers,
         "metric_seconds": {name: [] for name in spec.names},
     }

@@ -21,9 +21,7 @@ from typing import Any
 from repro.graph.checkpoint import ReplayCheckpoint
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
-from repro.kernels.backend import resolve_backend
 from repro.kernels.csr import CSRGraph
-from repro.kernels.delta import DeltaEngineState, DeltaMetricEngine
 from repro.metrics.timeseries import MetricTimeseries
 from repro.obs import (
     TraceRecorder,
@@ -33,7 +31,7 @@ from repro.obs import (
     perf_counter,
     use_recorder,
 )
-from repro.runtime.spec import DELTA_METRIC_NAMES, MetricSpec, snapshot_times
+from repro.runtime.spec import MetricSpec, snapshot_times
 from repro.store.reader import EventStore
 
 __all__ = ["evaluate_timeseries", "mp_context"]
@@ -80,7 +78,6 @@ def _evaluate_rows(
     replay: DynamicGraph,
     spec: MetricSpec,
     indexed_times: list[tuple[int, float]],
-    engine: DeltaMetricEngine | None = None,
 ) -> list[Row]:
     """Advance ``replay`` through ``indexed_times`` and evaluate the suite.
 
@@ -88,22 +85,10 @@ def _evaluate_rows(
     each snapshot is keyed by its *grid* index, so skipping never shifts
     downstream randomness.
 
-    Under the csr backend, the snapshot is converted to CSR once and the
-    one :class:`~repro.kernels.csr.CSRGraph` is shared by every metric —
-    the conversion cost amortizes across the suite.
-
-    Under the delta backend, ``engine`` (positioned exactly at the replay's
-    cursor — a fresh engine for a from-scratch replay, a checkpoint-restored
-    one for a window) consumes each window's events and serves the
-    delta-maintained metrics; a frozen CSR is produced only when a
-    non-delta metric (sampled BFS) needs one.
+    Each snapshot is converted to CSR once and the one
+    :class:`~repro.kernels.csr.CSRGraph` is shared by every metric — the
+    conversion cost amortizes across the suite.
     """
-    resolved = resolve_backend(spec.backend, allow_delta=True)
-    use_delta = resolved == "delta"
-    if use_delta and engine is None:
-        raise ValueError("delta backend requires an engine aligned with the replay")
-    use_csr = resolved == "csr"
-    needs_csr = use_delta and any(n not in DELTA_METRIC_NAMES for n in spec.names)
     rec = get_recorder()
     rows: list[Row] = []
     for index, time in indexed_times:
@@ -117,27 +102,14 @@ def _evaluate_rows(
                 (replay.node_cursor - node_before) + (replay.edge_cursor - edge_before),
             )
             rec.observe("replay.advance_seconds", perf_counter() - stage_began)
-        if use_delta and engine is not None:
-            engine.apply_view(view.new_nodes, view.new_edges)
         if view.graph.num_nodes == 0:
             continue
-        csr = None
-        if use_csr:
-            stage_began = perf_counter()
-            with rec.span("kernels.csr_build", snapshot=index):
-                csr = CSRGraph.from_snapshot(view.graph)
-            if rec.enabled:
-                rec.observe("kernels.csr_build_seconds", perf_counter() - stage_began)
-        elif needs_csr and engine is not None:
-            stage_began = perf_counter()
-            with rec.span("delta.csr_merge", snapshot=index):
-                csr = engine.to_csr()
-            if rec.enabled:
-                rec.observe("delta.csr_merge_seconds", perf_counter() - stage_began)
-        if use_delta and engine is not None:
-            fns = spec.build_delta(index, engine)
-        else:
-            fns = spec.build(index)
+        stage_began = perf_counter()
+        with rec.span("kernels.csr_build", snapshot=index):
+            csr = CSRGraph.from_snapshot(view.graph)
+        if rec.enabled:
+            rec.observe("kernels.csr_build_seconds", perf_counter() - stage_began)
+        fns = spec.build(index)
         values: list[float] = []
         seconds: list[float] = []
         # Profiling metadata only: the timings feed --profile and never
@@ -152,6 +124,9 @@ def _evaluate_rows(
         rows.append((index, time, values, seconds))
         if rec.enabled:
             rec.count("runtime.snapshots", 1)
+        # Free this snapshot's CSR before the next one is built, so two are
+        # never alive at once (it sets peak RSS on large replays).
+        del csr
     return rows
 
 
@@ -175,36 +150,31 @@ def _traced_rows(lane: int, evaluate: Callable[[], list[Row]]) -> WindowResult:
 
 
 # Stream-window payload: the lane, the checkpoint, this window's snapshot
-# times, and (delta backend only) the engine state frozen at the window's
-# entry checkpoint, from which the worker warm-starts.
-Window = tuple[
-    int, ReplayCheckpoint, list[tuple[int, float]], DeltaEngineState | None
-]
+# times.
+Window = tuple[int, ReplayCheckpoint, list[tuple[int, float]]]
 
 
 def _run_window(payload: Window) -> WindowResult:
-    lane, checkpoint, indexed_times, estate = payload
+    lane, checkpoint, indexed_times = payload
     assert _WORKER_STREAM is not None and _WORKER_SPEC is not None
     stream, spec = _WORKER_STREAM, _WORKER_SPEC
 
     def evaluate() -> list[Row]:
         replay = DynamicGraph.from_checkpoint(stream, checkpoint)
-        engine = None if estate is None else DeltaMetricEngine.from_state(estate)
-        return _evaluate_rows(replay, spec, indexed_times, engine)
+        return _evaluate_rows(replay, spec, indexed_times)
 
     return _traced_rows(lane, evaluate)
 
 
 # Store-window payload: the lane, the checkpoint, this window's half-open
-# event-index ranges [node_lo, node_hi) / [edge_lo, edge_hi), its snapshot
-# times, and the optional delta engine state at window entry.
+# event-index ranges [node_lo, node_hi) / [edge_lo, edge_hi), and its
+# snapshot times.
 StoreWindow = tuple[
     int,
     ReplayCheckpoint,
     tuple[int, int],
     tuple[int, int],
     list[tuple[int, float]],
-    DeltaEngineState | None,
 ]
 
 
@@ -216,7 +186,7 @@ def _run_store_window(payload: StoreWindow) -> WindowResult:
     graph already contains, so replay — and therefore every metric value —
     is bit-identical to the full-stream path.
     """
-    lane, checkpoint, (node_lo, node_hi), (edge_lo, edge_hi), indexed_times, estate = payload
+    lane, checkpoint, (node_lo, node_hi), (edge_lo, edge_hi), indexed_times = payload
     assert _WORKER_STORE is not None and _WORKER_SPEC is not None
     store, spec = _WORKER_STORE, _WORKER_SPEC
 
@@ -226,8 +196,7 @@ def _run_store_window(payload: StoreWindow) -> WindowResult:
             time=checkpoint.time, node_index=0, edge_index=0, csr=checkpoint.csr
         )
         replay = DynamicGraph.from_checkpoint(substream, rebased)
-        engine = None if estate is None else DeltaMetricEngine.from_state(estate)
-        return _evaluate_rows(replay, spec, indexed_times, engine)
+        return _evaluate_rows(replay, spec, indexed_times)
 
     return _traced_rows(lane, evaluate)
 
@@ -314,10 +283,8 @@ def evaluate_timeseries(
         raise ValueError(f"workers must be >= 1, got {workers}")
     times = snapshot_times(stream.end_time, interval, start)
     indexed = list(enumerate(times))
-    use_delta = resolve_backend(spec.backend, allow_delta=True) == "delta"
     if workers == 1 or len(indexed) < 2:
-        engine = DeltaMetricEngine() if use_delta else None
-        rows = _evaluate_rows(DynamicGraph(stream), spec, indexed, engine)
+        rows = _evaluate_rows(DynamicGraph(stream), spec, indexed)
         detail = [_worker_stat(0, "main", rows)]
     else:
         rows, detail = _evaluate_parallel(stream, spec, indexed, workers, store)
@@ -329,7 +296,6 @@ def evaluate_timeseries(
             series.values[name].append(value)
             metric_seconds[name].append(spent)
     series.profile = {
-        "backend": resolve_backend(spec.backend, allow_delta=True),
         "workers": workers,
         "metric_seconds": metric_seconds,
         "worker_detail": detail,
@@ -358,28 +324,19 @@ def _evaluate_parallel(
 ) -> tuple[list[Row], list[dict[str, Any]]]:
     rec = get_recorder()
     tracing = rec.enabled
-    use_delta = resolve_backend(spec.backend, allow_delta=True) == "delta"
     chunks = _partition(_window_weights(stream, [t for _, t in indexed]), workers)
     # One structural replay to place a checkpoint at each window boundary.
     # This is O(events) with no metric work, so it is cheap relative to the
     # metric evaluation it unlocks.  For store-backed runs the replay also
     # yields each window's event-index range, which is all a worker needs
-    # to pull its slice out of the store.  Under the delta backend the
-    # parent additionally feeds a metric engine so each checkpoint carries
-    # the accumulator state its window's worker warm-starts from; the
-    # accumulators are pure functions of the edge set, so worker rows stay
-    # bit-identical to a serial delta run.
+    # to pull its slice out of the store.
     payloads: list[Any] = []
-    parent_engine = DeltaMetricEngine() if use_delta else None
     with rec.span("replay.checkpoints", windows=len(chunks)):
         replay = DynamicGraph(stream)
         for lane0, chunk in enumerate(chunks):
             lane = 1 + lane0
             checkpoint = replay.checkpoint()
-            estate = None if parent_engine is None else parent_engine.state()
-            view = replay.advance_to(indexed[chunk[-1]][1])
-            if parent_engine is not None:
-                parent_engine.apply_view(view.new_nodes, view.new_edges)
+            replay.advance_to(indexed[chunk[-1]][1])
             window_times = [indexed[i] for i in chunk]
             if store is not None:
                 payloads.append(
@@ -389,11 +346,10 @@ def _evaluate_parallel(
                         (checkpoint.node_index, replay.node_cursor),
                         (checkpoint.edge_index, replay.edge_cursor),
                         window_times,
-                        estate,
                     )
                 )
             else:
-                payloads.append((lane, checkpoint, window_times, estate))
+                payloads.append((lane, checkpoint, window_times))
     context = _mp_context()
     pool_kwargs: dict[str, Any] = {}
     handoff: contextlib.AbstractContextManager[None] = contextlib.nullcontext()

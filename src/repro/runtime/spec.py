@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.graph.snapshot import GraphSnapshot
-from repro.kernels.backend import BACKENDS
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering
 from repro.metrics.degree import average_degree
@@ -29,9 +28,8 @@ from repro.metrics.paths import average_path_length_sampled
 
 if TYPE_CHECKING:
     from repro.kernels.csr import CSRGraph
-    from repro.kernels.delta import DeltaMetricEngine
 
-__all__ = ["DELTA_METRIC_NAMES", "MetricSpec", "STANDARD_METRIC_NAMES", "snapshot_times"]
+__all__ = ["MetricSpec", "STANDARD_METRIC_NAMES", "snapshot_times"]
 
 # Metric callables take the snapshot plus an optional prebuilt CSRGraph of
 # the same snapshot; the runtime builds one per snapshot and shares it
@@ -45,28 +43,15 @@ STANDARD_METRIC_NAMES = (
     "assortativity",
 )
 
-# Metrics the incremental engine maintains as event-delta accumulators.
-# Anything else (sampled BFS path length) is evaluated on the engine's
-# frozen CSR through the ordinary csr kernel, which is bit-identical.
-DELTA_METRIC_NAMES = frozenset(
-    {"average_degree", "average_clustering", "assortativity"}
-)
-
 _FACTORIES: dict[str, Callable[["MetricSpec", np.random.Generator], MetricFn]] = {
     "average_degree": lambda spec, rng: (lambda g, csr=None: average_degree(g)),
     "average_path_length": lambda spec, rng: (
-        lambda g, csr=None: average_path_length_sampled(
-            g, spec.path_sample, rng, backend=spec.backend, csr=csr
-        )
+        lambda g, csr=None: average_path_length_sampled(g, spec.path_sample, rng, csr=csr)
     ),
     "average_clustering": lambda spec, rng: (
-        lambda g, csr=None: average_clustering(
-            g, spec.clustering_sample, rng, backend=spec.backend, csr=csr
-        )
+        lambda g, csr=None: average_clustering(g, spec.clustering_sample, rng, csr=csr)
     ),
-    "assortativity": lambda spec, rng: (
-        lambda g, csr=None: degree_assortativity(g, backend=spec.backend, csr=csr)
-    ),
+    "assortativity": lambda spec, rng: (lambda g, csr=None: degree_assortativity(g, csr=csr)),
 }
 
 
@@ -78,25 +63,18 @@ class MetricSpec:
     ``clustering_sample`` are the paper's tractability knobs (§2).  The
     spec, not a generator object, crosses process boundaries — workers call
     :meth:`build` locally.
-
-    ``backend`` selects the kernel implementation (see
-    :mod:`repro.kernels.backend`); it never participates in cache keys
-    because every backend produces bit-identical results.
     """
 
     names: tuple[str, ...] = STANDARD_METRIC_NAMES
     path_sample: int = 400
     clustering_sample: int | None = 1500
     seed: int = 0
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names", tuple(self.names))
         unknown = [name for name in self.names if name not in _FACTORIES]
         if unknown:
             raise ValueError(f"unknown metrics {unknown}; available: {sorted(_FACTORIES)}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
 
     def build(self, snapshot_index: int) -> dict[str, MetricFn]:
         """Metric callables for the snapshot at ``snapshot_index``.
@@ -108,65 +86,10 @@ class MetricSpec:
         rng = np.random.default_rng((self.seed, snapshot_index))
         return {name: _FACTORIES[name](self, rng) for name in self.names}
 
-    def build_delta(
-        self, snapshot_index: int, engine: "DeltaMetricEngine"
-    ) -> dict[str, MetricFn]:
-        """Like :meth:`build`, but delta-maintained metrics read ``engine``.
-
-        The engine must have consumed exactly the events of the snapshot
-        being evaluated.  RNG discipline is identical to :meth:`build` —
-        one generator seeded by ``(seed, snapshot_index)``, consumed in
-        ``names`` order — and every engine metric replicates its batch
-        kernel's draws and float expressions, so a delta run's series is
-        bit-identical to a csr run's.
-        """
-        rng = np.random.default_rng((self.seed, snapshot_index))
-        fns: dict[str, MetricFn] = {}
-        for name in self.names:
-            if name == "average_degree":
-                fns[name] = _delta_average_degree(engine)
-            elif name == "average_clustering":
-                fns[name] = _delta_average_clustering(engine, self.clustering_sample, rng)
-            elif name == "assortativity":
-                fns[name] = _delta_assortativity(engine)
-            else:
-                fns[name] = _FACTORIES[name](self, rng)
-        return fns
-
     def fingerprint(self) -> str:
-        """A stable hex digest of the spec, for cache keys.
-
-        The backend is excluded: backends are bit-identical by contract
-        (enforced by the parity suite), so runs under either backend share
-        cache entries.
-        """
-        fields = asdict(self)
-        del fields["backend"]
-        payload = json.dumps(fields, sort_keys=True, default=list)
+        """A stable hex digest of the spec, for cache keys."""
+        payload = json.dumps(asdict(self), sort_keys=True, default=list)
         return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _delta_average_degree(engine: "DeltaMetricEngine") -> MetricFn:
-    def fn(g: GraphSnapshot, csr: "CSRGraph | None" = None) -> float:
-        return engine.average_degree()
-
-    return fn
-
-
-def _delta_average_clustering(
-    engine: "DeltaMetricEngine", sample: int | None, rng: np.random.Generator
-) -> MetricFn:
-    def fn(g: GraphSnapshot, csr: "CSRGraph | None" = None) -> float:
-        return engine.average_clustering(sample, rng)
-
-    return fn
-
-
-def _delta_assortativity(engine: "DeltaMetricEngine") -> MetricFn:
-    def fn(g: GraphSnapshot, csr: "CSRGraph | None" = None) -> float:
-        return engine.assortativity()
-
-    return fn
 
 
 def snapshot_times(end_time: float, interval: float, start: float | None = None) -> list[float]:

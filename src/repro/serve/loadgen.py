@@ -27,6 +27,7 @@ instead of being exact over an unbounded sample list.
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any
@@ -233,10 +234,13 @@ def _pick_target(
             break
         draw -= weight
     if endpoint == "/snapshot":
-        # Two-decimal rounding bounds the distinct-query cardinality so
-        # the worker-side memo stays effective under long runs.
-        t = round(float(rng.uniform(0.0, end_time)), 2)
-        return f"/snapshot?t={t:g}"
+        # A whole number of hundredths bounds the distinct-query cardinality
+        # so the worker-side memo stays effective under long runs.  Drawn
+        # from [0, floor(end_time * 100)], never past the end of the trace:
+        # rounding a uniform draw to two decimals can step past it (159.99986
+        # rounds to 160), which the server rightly answers with 404.
+        hundredths = int(rng.integers(0, math.floor(end_time * 100) + 1))
+        return f"/snapshot?t={hundredths / 100:g}"
     return endpoint
 
 

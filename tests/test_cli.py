@@ -79,7 +79,7 @@ class TestProfileAndBackend:
         args = ["metrics", trace_path, "--interval", "30", "--path-sample", "30", "--profile"]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "backend: csr" in out
+        assert "workers: 1" in out
         assert "cache: 0 hit(s) / 0 miss(es)" in out
         assert "mean ms" in out
 
@@ -98,29 +98,26 @@ class TestProfileAndBackend:
 
         args = [
             "metrics", trace_path, "--interval", "30", "--path-sample", "30",
-            "--json", "--profile", "--backend", "python",
+            "--json", "--profile",
         ]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"times", "values", "profile"}
-        assert payload["profile"]["backend"] == "python"
+        assert payload["profile"]["workers"] == 1
         assert len(payload["times"]) > 0
         seconds = payload["profile"]["metric_seconds"]["average_path_length"]
         assert len(seconds) == len(payload["times"])
 
-    def test_backend_flag_does_not_change_values(self, trace_path, capsys):
-        base = ["metrics", trace_path, "--interval", "30", "--path-sample", "30"]
-        assert main(base + ["--backend", "python"]) == 0
-        py_out = capsys.readouterr().out
-        assert main(base + ["--backend", "csr"]) == 0
-        assert capsys.readouterr().out == py_out
-
-    def test_communities_backend_flag(self, trace_path, capsys):
-        assert main(["communities", trace_path, "--interval", "20", "--backend", "python"]) == 0
-        py_out = capsys.readouterr().out
-        assert "modularity" in py_out
-        assert main(["communities", trace_path, "--interval", "20", "--backend", "csr"]) == 0
-        assert capsys.readouterr().out == py_out
+    @pytest.mark.parametrize("command", ["metrics", "communities", "experiment"])
+    def test_backend_flag_removed(self, command, capsys):
+        # One CSR engine: no subcommand offers a kernel switch any more.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert "--backend" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "x", "--backend", "csr"])
+        assert excinfo.value.code == 2
 
     def test_experiment_profile(self, capsys):
         code = main([
@@ -129,7 +126,7 @@ class TestProfileAndBackend:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend:" in out
+        assert "workers:" in out
         assert "mean ms" in out
 
 

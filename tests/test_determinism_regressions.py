@@ -15,9 +15,9 @@ from repro.graph.components import bfs_distances
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels import louvain as kernels_louvain
 
-# The community package re-exports the louvain *function*, which shadows
-# the submodule under attribute access; load the module explicitly.
-community_louvain = importlib.import_module("repro.community.louvain")
+# The oracles package re-exports the louvain *function*, which shadows the
+# submodule under attribute access; load the module explicitly.
+oracle_louvain = importlib.import_module("tests.oracles.louvain")
 
 # 1, 9, 17, 25 all land in slot 1 of an 8-slot set table, so iteration
 # order of {1, 9, 17, 25} depends on which was inserted first.
@@ -84,17 +84,15 @@ class TestBFSVisitOrder:
 
 class TestLouvainSharedContract:
     def test_backends_share_caps_and_seeding(self):
-        # Both backends must start from the same assignment and stop at
-        # the same caps, or parity would silently depend on the backend.
-        assert community_louvain._MAX_LEVELS == kernels_louvain.MAX_LEVELS
-        assert (
-            community_louvain._MAX_PASSES_PER_LEVEL == kernels_louvain.MAX_PASSES_PER_LEVEL
-        )
-        assert community_louvain._initial_assignment is kernels_louvain.initial_assignment
+        # The kernel and its oracle must start from the same assignment and
+        # stop at the same caps, or parity would silently depend on them.
+        assert oracle_louvain._MAX_LEVELS == kernels_louvain.MAX_LEVELS
+        assert oracle_louvain._MAX_PASSES_PER_LEVEL == kernels_louvain.MAX_PASSES_PER_LEVEL
+        assert oracle_louvain._initial_assignment is kernels_louvain.initial_assignment
 
     def test_initial_assignment_follows_input_order(self):
         # Singleton labels are the node ids themselves, keyed in input
-        # order — the CSR backend passes position order so both backends
+        # order — the CSR kernel passes position order so kernel and oracle
         # start from the identical dict.
         got = kernels_louvain.initial_assignment(reversed(COLLIDING), None)
         assert got == {n: n for n in COLLIDING}

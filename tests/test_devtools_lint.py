@@ -9,8 +9,6 @@ from repro.devtools.baseline import apply_baseline, load_baseline, write_baselin
 from repro.devtools.engine import discover_modules, run_rules
 from repro.devtools.lint import all_rules, default_root, main, run_lint
 from repro.devtools.parity import (
-    DELTA_PARITY_COVERED,
-    DELTA_PARITY_TEST_FILE,
     ENGINE_EQUIVALENCE_COVERED,
     ENGINE_EQUIVALENCE_TEST_FILE,
     PARITY_COVERED,
@@ -218,17 +216,6 @@ class TestParityManifestRule:
                 f"exist in {PARITY_TEST_FILE}"
             )
 
-    def test_delta_covered_entries_reference_real_tests(self):
-        # The delta manifest rots the same way the python/csr one would:
-        # a renamed or deleted harness test must fail here, not silently
-        # leave the incremental backend unpinned.
-        delta_source = (REPO_ROOT / DELTA_PARITY_TEST_FILE).read_text(encoding="utf-8")
-        for qualname, test_name in DELTA_PARITY_COVERED.items():
-            assert f"def {test_name}(" in delta_source, (
-                f"{qualname} claims delta coverage by {test_name}, which does "
-                f"not exist in {DELTA_PARITY_TEST_FILE}"
-            )
-
     def test_exemptions_carry_reasons(self):
         for qualname, reason in PARITY_EXEMPT.items():
             assert reason.strip(), f"exemption for {qualname} lacks a reason"
@@ -240,7 +227,7 @@ class TestParityManifestRule:
 
     def test_engine_object_parameter_not_flagged(self, tmp_path):
         # An `engine` parameter *without* a string default passes an engine
-        # object (e.g. DeltaMetricEngine), which is not string dispatch.
+        # object, which is not string dispatch.
         src = "def degree(engine):\n    return engine.average_degree()\n"
         result = lint_tree(tmp_path, {"runtime/new.py": src}, [ParityManifestRule()])
         assert codes(result) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.graph.components as library
 from repro.graph.components import (
     bfs_distance_to_set,
     bfs_distances,
@@ -9,6 +10,10 @@ from repro.graph.components import (
     largest_component,
 )
 from repro.graph.snapshot import GraphSnapshot
+from tests import oracles
+
+# The tie-break contract holds for the library and its dict/set oracle alike.
+IMPLEMENTATIONS = {"python": oracles, "csr": library}
 
 
 @pytest.fixture()
@@ -33,17 +38,17 @@ class TestComponents:
         assert connected_components(GraphSnapshot()) == []
         assert largest_component(GraphSnapshot()) == set()
 
-    @pytest.mark.parametrize("backend", ["python", "csr"])
-    def test_largest_component_tie_breaks_by_smallest_member(self, backend):
+    @pytest.mark.parametrize("impl", ["python", "csr"])
+    def test_largest_component_tie_breaks_by_smallest_member(self, impl):
         # Two size-3 components; insertion order puts the higher-id one
         # first, so traversal order alone would pick {10, 11, 12}.
         g = GraphSnapshot.from_edges([(10, 11), (11, 12), (4, 5), (5, 6)])
-        assert largest_component(g, backend=backend) == {4, 5, 6}
+        assert IMPLEMENTATIONS[impl].largest_component(g) == {4, 5, 6}
 
-    @pytest.mark.parametrize("backend", ["python", "csr"])
-    def test_component_order_deterministic_under_ties(self, backend):
+    @pytest.mark.parametrize("impl", ["python", "csr"])
+    def test_component_order_deterministic_under_ties(self, impl):
         g = GraphSnapshot.from_edges([(10, 11), (4, 5), (8, 9), (0, 1)])
-        comps = connected_components(g, backend=backend)
+        comps = IMPLEMENTATIONS[impl].connected_components(g)
         assert comps == [{0, 1}, {4, 5}, {8, 9}, {10, 11}]
 
 

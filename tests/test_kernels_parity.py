@@ -1,11 +1,12 @@
-"""Exact-parity tests: every CSR kernel against its Python reference.
+"""Exact-parity tests: every library graph algorithm against its oracle.
 
-The kernel layer's contract is bit-identical floats for identical RNG
-draws (docs/kernels.md).  These tests sweep ~50 random graphs — an
-Erdős–Rényi grid over sizes/densities/seeds plus snapshots of a generated
-Renren trace — including empty, singleton, and disconnected graphs, and
-assert *exact* equality (``==``, never ``pytest.approx``) between the two
-backends for every kernel-enabled function.
+The library runs one implementation of each algorithm, the CSR kernels;
+their contract is bit-identical floats for identical RNG draws against the
+dict/set references in ``tests/oracles`` (docs/kernels.md).  These tests
+sweep ~50 random graphs — an Erdős–Rényi grid over sizes/densities/seeds
+plus snapshots of a generated Renren trace — including empty, singleton,
+and disconnected graphs, and assert *exact* equality (``==``, never
+``pytest.approx``) between the library function and its oracle.
 """
 
 import functools
@@ -14,8 +15,9 @@ import math
 import numpy as np
 import pytest
 
+import repro.community.tracking as tracking
 from repro.community.louvain import louvain
-from repro.community.tracking import CommunityState, _match_python, track_stream
+from repro.community.tracking import track_stream
 from repro.gen.config import presets
 from repro.gen.renren import generate_trace
 from repro.graph.components import connected_components, largest_component
@@ -25,6 +27,7 @@ from repro.kernels.matching import match_communities_csr
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering, local_clustering
 from repro.metrics.paths import average_path_length_sampled
+from tests import oracles
 
 # -- graph corpus ----------------------------------------------------------
 
@@ -90,21 +93,21 @@ def _identical(a: float, b: float) -> bool:
 @pytest.mark.parametrize("case", CASES)
 def test_components_parity(case):
     g = _build(case)
-    assert connected_components(g, backend="csr") == connected_components(g, backend="python")
+    assert connected_components(g) == oracles.connected_components(g)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_largest_component_parity(case):
     g = _build(case)
-    assert largest_component(g, backend="csr") == largest_component(g, backend="python")
+    assert largest_component(g) == oracles.largest_component(g)
 
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("sample", [4, 10_000])
 def test_path_length_parity(case, sample):
     g = _build(case)
-    py = average_path_length_sampled(g, sample, rng=5, backend="python")
-    kr = average_path_length_sampled(g, sample, rng=5, backend="csr")
+    py = oracles.average_path_length_sampled(g, sample, rng=5)
+    kr = average_path_length_sampled(g, sample, rng=5)
     assert _identical(py, kr), (py, kr)
 
 
@@ -112,8 +115,8 @@ def test_path_length_parity(case, sample):
 @pytest.mark.parametrize("sample", [7, None])
 def test_average_clustering_parity(case, sample):
     g = _build(case)
-    py = average_clustering(g, sample, rng=9, backend="python")
-    kr = average_clustering(g, sample, rng=9, backend="csr")
+    py = oracles.average_clustering(g, sample, rng=9)
+    kr = average_clustering(g, sample, rng=9)
     assert _identical(py, kr), (py, kr)
 
 
@@ -121,16 +124,16 @@ def test_average_clustering_parity(case, sample):
 def test_local_clustering_parity(case):
     g = _build(case)
     for node in list(g.nodes())[:12]:
-        py = local_clustering(g, node, backend="python")
-        kr = local_clustering(g, node, backend="csr")
+        py = oracles.local_clustering(g, node)
+        kr = local_clustering(g, node)
         assert py == kr, node
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_assortativity_parity(case):
     g = _build(case)
-    py = degree_assortativity(g, backend="python")
-    kr = degree_assortativity(g, backend="csr")
+    py = oracles.degree_assortativity(g)
+    kr = degree_assortativity(g)
     assert _identical(py, kr), (py, kr)
 
 
@@ -141,8 +144,8 @@ def test_assortativity_parity(case):
 @pytest.mark.parametrize("delta", [0.0, 0.04])
 def test_louvain_parity(case, delta):
     g = _build(case)
-    py = louvain(g, delta=delta, seed=3, backend="python")
-    kr = louvain(g, delta=delta, seed=3, backend="csr")
+    py = oracles.louvain(g, delta=delta, seed=3)
+    kr = louvain(g, delta=delta, seed=3)
     assert py.partition == kr.partition
     assert py.modularity == kr.modularity
     assert py.levels == kr.levels
@@ -150,11 +153,11 @@ def test_louvain_parity(case, delta):
 
 @pytest.mark.parametrize("case", CASES)
 def test_louvain_seeded_parity(case):
-    """Incremental mode: both backends must honour a seed partition identically."""
+    """Incremental mode: library and oracle must honour a seed partition identically."""
     g = _build(case)
-    seed_partition = louvain(g, delta=0.04, seed=11, backend="python").partition
-    py = louvain(g, delta=0.04, seed_partition=seed_partition, seed=4, backend="python")
-    kr = louvain(g, delta=0.04, seed_partition=seed_partition, seed=4, backend="csr")
+    seed_partition = oracles.louvain(g, delta=0.04, seed=11).partition
+    py = oracles.louvain(g, delta=0.04, seed_partition=seed_partition, seed=4)
+    kr = louvain(g, delta=0.04, seed_partition=seed_partition, seed=4)
     assert py.partition == kr.partition
     assert py.modularity == kr.modularity
     assert py.levels == kr.levels
@@ -180,18 +183,7 @@ def test_matcher_parity(seed):
     pool = np.arange(120)
     raw = _random_membership(rng, [3, 7, 8, 15], pool, 30)
     prev_sets = _random_membership(rng, [0, 1, 2, 5], pool, 30)
-    prev_states = {
-        lin: CommunityState(
-            lineage=lin,
-            time=0.0,
-            members=members,
-            internal_edges=0,
-            degree_sum=0,
-            similarity=float("nan"),
-        )
-        for lin, members in prev_sets.items()
-    }
-    py_parent, py_overlaps = _match_python(raw, prev_states)
+    py_parent, py_overlaps = oracles.match_communities(raw, prev_sets)
     kr_parent, kr_overlaps = match_communities_csr(raw, prev_sets)
     assert list(kr_parent) == list(py_parent)
     for label in raw:
@@ -213,10 +205,24 @@ def test_matcher_empty_sides():
 # -- end-to-end tracking ---------------------------------------------------
 
 
-def test_tracking_parity():
+def test_tracking_parity(monkeypatch):
+    """The tracker end to end, with Louvain and the matcher swapped for oracles."""
     stream = generate_trace(presets.tiny(), seed=11)
-    py = track_stream(stream, interval=4.0, min_nodes=32, seed=5, backend="python")
-    kr = track_stream(stream, interval=4.0, min_nodes=32, seed=5, backend="csr")
+    kr = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
+    used: list[str] = []
+
+    def oracle_louvain(*args, **kwargs):
+        used.append("louvain")
+        return oracles.louvain(*args, **kwargs)
+
+    def oracle_match(*args, **kwargs):
+        used.append("match")
+        return oracles.match_communities(*args, **kwargs)
+
+    monkeypatch.setattr(tracking, "louvain", oracle_louvain)
+    monkeypatch.setattr(tracking, "match_communities_csr", oracle_match)
+    py = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
+    assert {"louvain", "match"} <= set(used)
     assert len(py.snapshots) == len(kr.snapshots) > 0
     for a, b in zip(py.snapshots, kr.snapshots, strict=True):
         assert a.time == b.time

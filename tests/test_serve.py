@@ -456,6 +456,35 @@ class TestLoadgen:
         drawn = {target.partition("?")[0] for target in seq_a}
         assert "/metrics" in drawn  # the heaviest weight must appear
 
+    def test_snapshot_target_never_passes_trace_end(self):
+        class TopOfRangeRng:
+            """Picks /snapshot, then draws the very top of the time range."""
+
+            def __init__(self):
+                self.uniform_draws = [0.0, 159.9995]
+
+            def uniform(self, low, high):
+                return self.uniform_draws.pop(0)
+
+            def integers(self, low, high):
+                return high - 1
+
+        end_time = 159.99986
+        target = _pick_target(TopOfRangeRng(), LoadConfig(mix="scan"), end_time)
+        # Rounding the top draw to two decimals would give t=160 (a 404).
+        assert target == "/snapshot?t=159.99"
+
+    def test_snapshot_targets_stay_within_trace(self):
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        config = LoadConfig(mix="scan")
+        end_time = 159.99986
+        for _ in range(2000):
+            target = _pick_target(rng, config, end_time)
+            if target.startswith("/snapshot"):
+                assert 0.0 <= float(target.partition("t=")[2]) <= end_time
+
     def test_profiles_cover_known_endpoints(self):
         from repro.serve.protocol import ENDPOINTS, LOCAL_ENDPOINTS
 
