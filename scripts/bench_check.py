@@ -17,9 +17,16 @@ Usage::
 baselines from the current reports instead of checking (run it locally
 after an intentional performance change and commit the result).
 
+Each tracked path is flattened and compared with the same engine as
+``repro obs diff`` (``repro.obs.flatten_numeric``/``diff_rows``/
+``regressed``), so the script needs ``repro`` importable
+(``PYTHONPATH=src``).
+
 A missing baseline warns and passes — new benchmark suites land green and
 gate from their next baseline commit onward.  A missing *current* report
-fails: the harness that should have produced it did not run.
+fails: the harness that should have produced it did not run.  So does a
+current report without the tracked path (a ``MISSING`` row): the harness
+stopped writing the number the gate tracks.
 """
 
 from __future__ import annotations
@@ -30,11 +37,14 @@ import shutil
 import sys
 from pathlib import Path
 
-# suite -> (file name, dotted path to the tracked ratio, direction, slack).
-# "higher" ratios regress by falling, "lower" ratios by rising.  ``slack``
-# is an absolute change additionally required to fail — it keeps
-# noise-dominated near-zero ratios (the obs overhead fraction is ~3e-4)
-# from flapping the gate on relative change alone.
+from repro.obs import diff_rows, flatten_numeric, regressed
+
+# suite -> (file name, dotted path to the tracked ratio, direction, slack),
+# judged by ``repro.obs.regressed``.  "higher" ratios regress by falling,
+# "lower" ratios by rising.  ``slack`` is an absolute change additionally
+# required to fail — it keeps noise-dominated near-zero ratios (the obs
+# overhead fraction is ~3e-4) from flapping the gate on relative change
+# alone.
 TRACKED: dict[str, tuple[str, str, str, float]] = {
     "kernels": ("BENCH_kernels.json", "aggregate.speedup", "higher", 0.0),
     "store": ("BENCH_store.json", "speedup", "higher", 0.0),
@@ -54,18 +64,17 @@ TRACKED: dict[str, tuple[str, str, str, float]] = {
 }
 
 
-def _lookup(report: dict, dotted: str) -> float:
-    node = report
-    for part in dotted.split("."):
-        node = node[part]
-    return float(node)
-
-
 def _load(path: Path) -> dict | None:
     if not path.is_file():
         return None
     with open(path) as handle:
         return json.load(handle)
+
+
+def _tracked(report: dict | None, dotted: str) -> dict[str, float]:
+    """``{dotted: value}`` when ``report`` has a numeric leaf there, else ``{}``."""
+    values = flatten_numeric(report) if report is not None else {}
+    return {dotted: values[dotted]} if dotted in values else {}
 
 
 def check(
@@ -76,42 +85,23 @@ def check(
     failures = 0
     for suite, (file_name, dotted, direction, slack) in TRACKED.items():
         current = _load(current_dir / file_name)
-        baseline = _load(baseline_dir / file_name)
-        row = {
-            "suite": suite,
-            "metric": dotted,
-            "direction": direction,
-            "baseline": None,
-            "current": None,
-            "change": None,
-            "status": "",
-        }
-        if current is None:
-            row["status"] = "MISSING CURRENT"
-            failures += 1
-            rows.append(row)
-            continue
-        row["current"] = _lookup(current, dotted)
-        if baseline is None:
-            row["status"] = "no baseline (pass)"
-            rows.append(row)
-            continue
-        row["baseline"] = _lookup(baseline, dotted)
-        base, cur = row["baseline"], row["current"]
-        if base == 0:
-            row["status"] = "zero baseline (pass)"
-            rows.append(row)
-            continue
-        change = (cur - base) / base
-        row["change"] = change
-        worse = base - cur if direction == "higher" else cur - base
-        regressed = worse > threshold * abs(base) and worse >= slack
-        if regressed:
-            row["status"] = f"REGRESSED > {threshold:.0%}"
-            failures += 1
+        after = _tracked(current, dotted)
+        before = _tracked(_load(baseline_dir / file_name), dotted) if after else {}
+        empty = {"metric": dotted, "before": None, "after": None, "delta": None}
+        (row,) = diff_rows(before, after) or [empty]
+        failed = False
+        if not after:
+            status, failed = ("MISSING CURRENT" if current is None else "MISSING"), True
+        elif row["before"] is None:
+            status = "no baseline (pass)"
+        elif row["delta"] is None:
+            status = "zero baseline (pass)"
+        elif regressed(row, threshold, direction, slack):
+            status, failed = f"REGRESSED > {threshold:.0%}", True
         else:
-            row["status"] = "ok"
-        rows.append(row)
+            status = "ok"
+        failures += failed
+        rows.append({"suite": suite, "direction": direction, **row, "status": status})
     return rows, 1 if failures else 0
 
 
@@ -127,10 +117,10 @@ def render_markdown(rows: list[dict], threshold: float) -> str:
         "|---|---|---|---|---|---|---|",
     ]
     for row in rows:
-        change = "-" if row["change"] is None else f"{row['change']:+.1%}"
+        change = "-" if row["delta"] is None else f"{row['delta']:+.1%}"
         lines.append(
             f"| {row['suite']} | `{row['metric']}` | {row['direction']} "
-            f"| {_fmt(row['baseline'])} | {_fmt(row['current'])} | {change} "
+            f"| {_fmt(row['before'])} | {_fmt(row['after'])} | {change} "
             f"| {row['status']} |"
         )
     lines.append("")

@@ -28,7 +28,8 @@ Layout:
 * :mod:`~repro.obs.export` — JSONL span log and Chrome trace-event JSON
   (Perfetto-loadable) writers/readers;
 * :mod:`~repro.obs.summary` — human tables for traces, runtime profiles,
-  and telemetry regression diffs.
+  and regression diffs, plus :func:`~repro.obs.summary.regressed`, the
+  one regression predicate (``repro obs diff`` and the benchmark gate).
 """
 
 from repro.obs.export import read_jsonl, to_chrome, write_chrome, write_jsonl, write_trace
@@ -60,6 +61,7 @@ from repro.obs.recorder import (
 from repro.obs.summary import (
     diff_rows,
     flatten_numeric,
+    regressed,
     render_diff,
     render_profile,
     render_trace,
@@ -90,6 +92,7 @@ __all__ = [
     "prometheus_lines",
     "quantile_summary",
     "read_jsonl",
+    "regressed",
     "render_diff",
     "render_profile",
     "render_trace",

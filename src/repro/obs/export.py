@@ -5,7 +5,7 @@ Two on-disk forms of the same payload:
 * **JSONL** (the native interchange format) — a ``meta`` line, then one
   line per lane/span/counter/gauge/histogram record.  Streams well, diffs well,
   and :func:`read_jsonl` round-trips it losslessly back into a payload
-  dict, which is what ``repro trace summarize|export`` consume.
+  dict, which is what ``repro obs summarize|export|diff`` consume.
 * **Chrome trace-event JSON** — the ``{"traceEvents": [...]}`` object
   format understood by Perfetto (https://ui.perfetto.dev) and
   ``chrome://tracing``.  Spans become complete (``"ph": "X"``) events
@@ -86,7 +86,8 @@ def read_jsonl(path: str | os.PathLike[str]) -> dict[str, Any]:
     if '"traceEvents"' in text[:200]:
         raise ValueError(
             f"{path}: is a Chrome trace-event export (already Perfetto-loadable); "
-            "summarize/export read the JSONL span log (--trace with a non-.json suffix)"
+            "obs summarize/export/diff read the JSONL span log "
+            "(--trace with a non-.json suffix)"
         )
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

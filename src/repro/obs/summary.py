@@ -1,6 +1,6 @@
-"""Human-readable rendering: trace summaries, profiles, telemetry diffs.
+"""Human-readable rendering and the one regression engine.
 
-:func:`render_trace` is what ``repro trace summarize`` prints — per-span
+:func:`render_trace` is what ``repro obs summarize`` prints — per-span
 timing rollups, counters, histograms, and one row per lane.
 :func:`render_profile` renders the runtime's ``MetricTimeseries.profile``
 dict (workers, cache hit/miss, per-metric wall time, per-worker
@@ -8,7 +8,9 @@ attribution); it subsumes the ad-hoc ``_print_profile`` table the CLI
 used to carry.  :func:`flatten_numeric` / :func:`diff_rows` /
 :func:`render_diff` power ``repro obs diff``: two telemetry or trace
 snapshots flattened to dotted numeric rows and compared with percent
-deltas.
+deltas.  :func:`regressed` is the one predicate that calls a row a
+regression; ``repro obs diff --fail-above`` and
+``scripts/bench_check.py`` both gate on it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.obs.merge import aggregate, lane_summary
 __all__ = [
     "diff_rows",
     "flatten_numeric",
+    "regressed",
     "render_diff",
     "render_profile",
     "render_trace",
@@ -141,12 +144,30 @@ def diff_rows(
     return rows
 
 
+def regressed(
+    row: dict[str, Any], threshold: float, direction: str = "lower", slack: float = 0.0
+) -> bool:
+    """Whether a :func:`diff_rows` row moved the bad way past the gate.
+
+    A ``"lower"``-is-better metric regresses by rising, a ``"higher"`` one
+    by falling.  The fractional change in the bad direction must exceed
+    ``threshold`` *and* the absolute change be at least ``slack`` (which
+    keeps near-zero metrics from failing on relative change alone).  Rows
+    without a delta (a side missing, or a zero baseline) never regress.
+    """
+    delta = row["delta"]
+    if delta is None:
+        return False
+    worse = delta if direction == "lower" else -delta
+    return bool(worse > threshold and abs(row["after"] - row["before"]) >= slack)
+
+
 def render_diff(rows: list[dict[str, Any]], threshold: float | None = None) -> str:
     """The regression table ``repro obs diff`` prints.
 
-    With ``threshold`` set, rows whose fractional increase exceeds it are
-    flagged with a trailing ``!`` — the CLI exits nonzero when any row is
-    flagged.
+    With ``threshold`` set, rows that :func:`regressed` (lower is better,
+    zero slack) are flagged with a trailing ``!`` — the CLI exits nonzero
+    when any row is flagged.
     """
 
     def _cell(value: float | None) -> str:
@@ -163,7 +184,7 @@ def render_diff(rows: list[dict[str, Any]], threshold: float | None = None) -> s
             shown = "-"
         else:
             shown = f"{100.0 * delta:+.1f}%"
-            if threshold is not None and delta > threshold:
+            if threshold is not None and regressed(row, threshold):
                 shown += " !"
         lines.append(
             f"{row['metric']:<52}{_cell(row['before']):>14}"

@@ -10,7 +10,8 @@ driver.  This subpackage makes the same computation scale:
 * :mod:`~repro.runtime.parallel` — splits the snapshot timeline into
   contiguous windows, restores a replay checkpoint per window, and
   evaluates windows in a process pool, bit-identical to serial;
-* :mod:`~repro.runtime.cache` — a content-addressed on-disk result cache
+* :mod:`~repro.runtime.cache` — the content-addressed on-disk cache (one
+  atomic entry store, with codecs for metric timeseries and serve reports)
   keyed by stream content + spec + cadence;
 * :func:`~repro.runtime.api.compute_timeseries` — the front door that
   composes all three.

@@ -12,7 +12,7 @@ from typing import Any
 
 from repro.graph.events import EventStream
 from repro.metrics.timeseries import MetricTimeseries
-from repro.runtime.cache import ResultCache, stream_digest
+from repro.runtime.cache import TIMESERIES, ResultCache, stream_digest, timeseries_key
 from repro.runtime.parallel import evaluate_timeseries
 from repro.runtime.spec import MetricSpec
 from repro.store.reader import EventStore
@@ -41,10 +41,10 @@ def compute_timeseries(
     decoded once in the parent and parallel workers read only their own
     window's chunks from disk instead of receiving the whole stream.
     """
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    cache = ResultCache(cache_dir, TIMESERIES) if cache_dir is not None else None
     key = None
     if cache is not None:
-        key = cache.key(stream_digest(stream), spec, interval, start)
+        key = timeseries_key(stream_digest(stream), spec, interval, start)
         hit = cache.load(key)
         if hit is not None:
             hit.profile = _profile(spec, workers, hit.profile, cache)
@@ -64,7 +64,7 @@ def _profile(
     spec: MetricSpec,
     workers: int,
     base: dict[str, Any] | None,
-    cache: ResultCache | None,
+    cache: ResultCache[MetricTimeseries] | None,
 ) -> dict[str, Any]:
     """Run metadata for :attr:`MetricTimeseries.profile`.
 

@@ -268,8 +268,8 @@ def error_body(status: int, code: str, message: str) -> str:
 def envelope(status: int, cache: str, body: str, seconds: float | None = None) -> str:
     """The worker -> front response envelope (a JSON string payload).
 
-    ``cache`` records how the worker answered: ``hit``/``miss`` (result
-    or serve cache), ``memo`` (worker-side response memo), or ``none``
+    ``cache`` records how the worker answered: ``hit``/``miss`` (the
+    on-disk result cache), ``memo`` (worker-side response memo), or ``none``
     (no cache involved).  ``seconds`` is the worker-side handling time
     when freshly computed (memoized envelopes omit it) — the front
     subtracts it from the round-trip to observe queue wait.  Neither

@@ -206,10 +206,10 @@ class ReproServer:
         """Precompute the default query per warm target through the shards.
 
         Warming routes each default query through its own shard exactly
-        like a client request would, so the result cache
-        (:func:`repro.runtime.compute_timeseries` under ``/metrics``) and
-        the serve cache (``/communities``) are populated before the
-        listener opens and the first real request is already a hit.
+        like a client request would, so the on-disk result cache (metric
+        timeseries under ``/metrics``, the report under ``/communities``)
+        is populated before the listener opens and the first real request
+        is already a hit.
         """
         rec = get_recorder()
         began = perf_counter()

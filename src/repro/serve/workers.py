@@ -24,8 +24,10 @@ Answer paths, none of which replay on a warm cache:
 * ``/metrics`` — :func:`repro.runtime.compute_timeseries`, whose result
   cache is keyed by store digest + spec + cadence;
 * ``/communities`` and ``/merge-impact`` — replay-derived reports
-  persisted in a :class:`~repro.serve.cache.ServeCache` keyed by store
-  digest + canonical parameters.
+  persisted as JSON entries of the same
+  :class:`~repro.runtime.cache.ResultCache` store (the
+  :data:`~repro.runtime.cache.REPORT` codec, under ``<cache-dir>/serve``)
+  keyed by store digest + canonical parameters.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ from __future__ import annotations
 import json
 import multiprocessing.context
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
 from repro.obs import TailSampler, TraceRecorder, get_recorder, perf_counter, set_recorder
-from repro.serve.cache import ServeCache
+from repro.runtime.cache import REPORT, ResultCache, cache_key
 from repro.serve.protocol import QueryError, dumps, envelope, error_body, json_safe
 from repro.store.reader import EventStore
 
@@ -55,7 +58,7 @@ __all__ = [
 # memory-mapped store, the cache handles, and the bounded response memo.
 _STORE: EventStore | None = None
 _CACHE_DIR: str | None = None
-_SERVE_CACHE: ServeCache | None = None
+_REPORT_CACHE: ResultCache[str] | None = None
 _MEMO: dict[str, tuple[str, str]] = {}
 _MEMO_LIMIT = 512
 
@@ -81,11 +84,11 @@ def _init_serve_worker(
     without ``--trace`` it runs tail-biased span sampling plus a span
     cap, so long-serving workers hold bounded trace state.
     """
-    global _STORE, _CACHE_DIR, _SERVE_CACHE, _MEMO
+    global _STORE, _CACHE_DIR, _REPORT_CACHE, _MEMO
     _STORE = EventStore(store_path, verify="lazy")
     _CACHE_DIR = cache_dir
-    _SERVE_CACHE = (
-        ServeCache(Path(cache_dir) / "serve") if cache_dir is not None else None
+    _REPORT_CACHE = (
+        ResultCache(Path(cache_dir) / "serve", REPORT) if cache_dir is not None else None
     )
     _MEMO = {}
     if trace:
@@ -312,45 +315,53 @@ def _handle_snapshot(params: dict[str, Any]) -> tuple[str, str]:
     return body, "none"
 
 
+def _cached_report(key: str, build: Callable[[], Any]) -> tuple[str, str]:
+    """``build()``'s JSON report, read from or published to the report cache."""
+    if _REPORT_CACHE is not None:
+        text = _REPORT_CACHE.load(key)
+        if text is not None:
+            return text, "hit"
+    text = dumps(json_safe(build()))
+    if _REPORT_CACHE is None:
+        return text, "none"
+    _REPORT_CACHE.store(key, text)
+    return text, "miss"
+
+
 def _communities_report(params: dict[str, Any]) -> tuple[str, str]:
-    """The full tracking report (with memberships), through the serve cache."""
+    """The full tracking report (with memberships), through the report cache."""
     from repro.community.tracking import track_stream
 
     store = _store()
     cache_params = {k: v for k, v in params.items() if k != "at"}
-    key = ServeCache.key("communities", store.content_digest, dumps(cache_params))
-    if _SERVE_CACHE is not None:
-        text = _SERVE_CACHE.load(key)
-        if text is not None:
-            return text, "hit"
-    tracker = track_stream(
-        store.to_stream(),
-        interval=params["interval"],
-        delta=params["delta"],
-        min_size=params["min_size"],
-        seed=params["seed"],
-    )
-    report = {
-        "snapshots": [
-            {
-                "time": snap.time,
-                "num_communities": snap.num_communities,
-                "modularity": snap.modularity,
-                "avg_similarity": snap.avg_similarity,
-                "members": {
-                    str(lineage): sorted(state.members)
-                    for lineage, state in snap.states.items()
-                },
-            }
-            for snap in tracker.snapshots
-        ],
-        "events": dict(sorted(Counter(e.kind for e in tracker.events).items())),
-    }
-    text = dumps(json_safe(report))
-    if _SERVE_CACHE is not None:
-        _SERVE_CACHE.store(key, text)
-        return text, "miss"
-    return text, "none"
+
+    def build() -> dict[str, Any]:
+        tracker = track_stream(
+            store.to_stream(),
+            interval=params["interval"],
+            delta=params["delta"],
+            min_size=params["min_size"],
+            seed=params["seed"],
+        )
+        return {
+            "snapshots": [
+                {
+                    "time": snap.time,
+                    "num_communities": snap.num_communities,
+                    "modularity": snap.modularity,
+                    "avg_similarity": snap.avg_similarity,
+                    "members": {
+                        str(lineage): sorted(state.members)
+                        for lineage, state in snap.states.items()
+                    },
+                }
+                for snap in tracker.snapshots
+            ],
+            "events": dict(sorted(Counter(e.kind for e in tracker.events).items())),
+        }
+
+    key = cache_key("communities", store.content_digest, dumps(cache_params))
+    return _cached_report(key, build)
 
 
 def _handle_communities(params: dict[str, Any]) -> tuple[str, str]:
@@ -384,22 +395,18 @@ def _handle_merge_impact(params: dict[str, Any]) -> tuple[str, str]:
     from repro.osnmerge.summary import summarize_merge
 
     store = _store()
-    key = ServeCache.key("merge-impact", store.content_digest, dumps(params))
-    if _SERVE_CACHE is not None:
-        text = _SERVE_CACHE.load(key)
-        if text is not None:
-            return text, "hit"
-    report = summarize_merge(
-        store.to_stream(),
-        merge_day=params["merge_day"],
-        distance_sample=params["distance_sample"],
-        seed=params["seed"],
-    )
-    text = dumps(json_safe(asdict(report)))
-    if _SERVE_CACHE is not None:
-        _SERVE_CACHE.store(key, text)
-        return text, "miss"
-    return text, "none"
+
+    def build() -> dict[str, Any]:
+        report = summarize_merge(
+            store.to_stream(),
+            merge_day=params["merge_day"],
+            distance_sample=params["distance_sample"],
+            seed=params["seed"],
+        )
+        return asdict(report)
+
+    key = cache_key("merge-impact", store.content_digest, dumps(params))
+    return _cached_report(key, build)
 
 
 _HANDLERS = {

@@ -164,6 +164,39 @@ class TestObsCommand:
         assert "histograms.serve.latency.max" in out
         assert "counters.requests" in out
 
+    def _trace_pair(self, tmp_path):
+        """One JSONL trace and the same trace's Chrome export."""
+        from repro.obs import TraceRecorder, write_chrome, write_jsonl
+
+        recorder = TraceRecorder(lane=0, label="main")
+        with recorder.span("work"):
+            recorder.count("requests", 5)
+        jsonl, chrome = tmp_path / "run.trace.jsonl", tmp_path / "run.json"
+        write_jsonl(recorder.to_payload(), jsonl)
+        write_chrome(recorder.to_payload(), chrome)
+        return str(jsonl), str(chrome)
+
+    def test_diff_rejects_chrome_trace_export(self, tmp_path, capsys):
+        # A Chrome export is a JSON object but not a telemetry snapshot;
+        # read as one it would diff as an empty table and pass any gate.
+        _, chrome = self._trace_pair(tmp_path)
+        assert main(["obs", "diff", chrome, chrome, "--fail-above", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "Chrome trace-event export" in captured.err
+        assert captured.out == ""
+
+    def test_diff_rejects_trace_against_telemetry(self, tmp_path, capsys):
+        import json
+
+        jsonl, _ = self._trace_pair(tmp_path)
+        telemetry = tmp_path / "snap.json"
+        telemetry.write_text(json.dumps({"counters": {"requests": 5}}))
+        for pair in ((jsonl, str(telemetry)), (str(telemetry), jsonl)):
+            assert main(["obs", "diff", *pair, "--fail-above", "0"]) == 1
+            captured = capsys.readouterr()
+            assert "cannot compare a" in captured.err
+            assert captured.out == ""
+
     def test_diff_missing_file_is_an_error(self, tmp_path, capsys):
         good = tmp_path / "a.json"
         good.write_text("{}")

@@ -14,6 +14,7 @@ from repro.runtime import (
     snapshot_times,
     stream_digest,
 )
+from repro.runtime.cache import TIMESERIES, timeseries_key
 
 # Small sampling knobs keep each evaluation fast; the suite runs several.
 SPEC = MetricSpec(path_sample=20, clustering_sample=60, seed=3)
@@ -156,15 +157,14 @@ class TestResultCache:
         assert len(warm.times) > 0
 
     def test_key_changes_with_inputs(self, tiny_stream):
-        cache = ResultCache("/tmp/unused")
         digest = stream_digest(tiny_stream)
-        base = cache.key(digest, SPEC, INTERVAL, None)
-        assert base == cache.key(digest, SPEC, INTERVAL, None)
-        assert base != cache.key(digest, SPEC, INTERVAL + 1.0, None)
-        assert base != cache.key(digest, SPEC, INTERVAL, 2.0)
+        base = timeseries_key(digest, SPEC, INTERVAL, None)
+        assert base == timeseries_key(digest, SPEC, INTERVAL, None)
+        assert base != timeseries_key(digest, SPEC, INTERVAL + 1.0, None)
+        assert base != timeseries_key(digest, SPEC, INTERVAL, 2.0)
         reseeded = MetricSpec(path_sample=20, clustering_sample=60, seed=4)
-        assert base != cache.key(digest, reseeded, INTERVAL, None)
-        assert base != cache.key("0" * 64, SPEC, INTERVAL, None)
+        assert base != timeseries_key(digest, reseeded, INTERVAL, None)
+        assert base != timeseries_key("0" * 64, SPEC, INTERVAL, None)
 
     def test_stream_digest_sensitive_to_content(self, tiny_stream):
         from repro.graph.events import EventStream, NodeArrival
@@ -180,7 +180,7 @@ class TestResultCache:
     def test_store_load_roundtrip_with_nans(self, tmp_path):
         from repro.metrics.timeseries import MetricTimeseries
 
-        cache = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path, TIMESERIES)
         series = MetricTimeseries(
             times=[1.0, 2.0], values={"m": [float("nan"), 0.25], "k": [1.5, -3.0]}
         )
@@ -190,13 +190,13 @@ class TestResultCache:
         assert_series_identical(series, loaded)
 
     def test_load_miss_returns_none(self, tmp_path):
-        assert ResultCache(tmp_path).load("f" * 64) is None
+        assert ResultCache(tmp_path, TIMESERIES).load("f" * 64) is None
 
     def test_corrupt_entry_treated_as_miss(self, tiny_stream, tmp_path):
         cold = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, cache_dir=tmp_path)
         (entry,) = tmp_path.glob("*.npz")
         entry.write_text("not an npz file")
-        assert ResultCache(tmp_path).load(entry.stem) is None
+        assert ResultCache(tmp_path, TIMESERIES).load(entry.stem) is None
         recovered = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, cache_dir=tmp_path)
         assert_series_identical(cold, recovered)
 

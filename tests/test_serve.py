@@ -13,8 +13,8 @@ import json
 
 import pytest
 
+from repro.runtime.cache import REPORT, ResultCache, cache_key
 from repro.serve import ReproServer, ServeConfig
-from repro.serve.cache import ServeCache
 from repro.serve.loadgen import PROFILES, LoadConfig, _pick_target
 from repro.serve.protocol import (
     QueryError,
@@ -136,24 +136,19 @@ class TestHttpFraming:
 
 
 class TestServeCache:
-    def test_store_load_roundtrip(self, tmp_path):
-        cache = ServeCache(tmp_path / "serve")
-        key = ServeCache.key("a", "b")
-        assert cache.load(key) is None
-        cache.store(key, '{"x":1}')
-        assert cache.load(key) == '{"x":1}'
-        assert (cache.hits, cache.misses) == (1, 1)
+    """The serve report cache: :class:`ResultCache` with the ``REPORT`` codec."""
 
     def test_invalid_json_counts_as_miss(self, tmp_path):
-        cache = ServeCache(tmp_path)
-        key = ServeCache.key("k")
+        cache = ResultCache(tmp_path, REPORT)
+        key = cache_key("k")
         cache.store(key, '{"x":1}')
         cache.path(key).write_text('{"x":', encoding="utf-8")
         assert cache.load(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        cache = ServeCache(tmp_path)
-        cache.store(ServeCache.key("k"), "{}")
+        cache = ResultCache(tmp_path, REPORT)
+        cache.store(cache_key("k"), "{}")
         assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cli import main
 from repro.graph.stream_io import write_event_stream
-from repro.runtime import MetricSpec, ResultCache, compute_timeseries, evaluate_timeseries
-from repro.runtime.cache import stream_digest
+from repro.runtime import MetricSpec, compute_timeseries, evaluate_timeseries
+from repro.runtime.cache import stream_digest, timeseries_key
 from repro.store import EventStore, write_store
 
 
@@ -65,8 +65,7 @@ class TestCacheParity:
         assert second.values == first.values
 
     def test_cache_keys_are_identical(self, store, tiny_stream, spec):
-        cache = ResultCache("/nonexistent")
-        assert cache.key(stream_digest(store), spec, 3.0, None) == cache.key(
+        assert timeseries_key(stream_digest(store), spec, 3.0, None) == timeseries_key(
             stream_digest(tiny_stream), spec, 3.0, None
         )
 
