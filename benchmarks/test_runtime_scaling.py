@@ -19,7 +19,13 @@ import pytest
 
 from repro.gen.config import presets
 from repro.gen.renren import generate_trace
-from repro.runtime import MetricSpec, compute_timeseries, evaluate_timeseries
+from repro.runtime import (
+    TIMESERIES,
+    MetricSpec,
+    ResultCache,
+    compute_timeseries,
+    evaluate_timeseries,
+)
 
 SPEC = MetricSpec(path_sample=96, clustering_sample=600, seed=7)
 WORKERS = 4
@@ -70,12 +76,14 @@ def test_parallel_scaling(bench_stream):
 def test_cache_hit_speedup(bench_stream, tmp_path):
     """A warm cache serves the identical series >= 10x faster than computing."""
     interval = bench_stream.end_time / SNAPSHOTS
+    cache = ResultCache(tmp_path, TIMESERIES)
     cold, t_cold = _timed(
-        lambda: compute_timeseries(bench_stream, SPEC, interval=interval, cache_dir=tmp_path)
+        lambda: compute_timeseries(bench_stream, SPEC, interval=interval, cache=cache)
     )
     warm, t_warm = _timed(
-        lambda: compute_timeseries(bench_stream, SPEC, interval=interval, cache_dir=tmp_path)
+        lambda: compute_timeseries(bench_stream, SPEC, interval=interval, cache=cache)
     )
+    assert (cache.hits, cache.misses) == (1, 1)
     _assert_identical(cold, warm)
     speedup = t_cold / t_warm
     print(

@@ -15,11 +15,11 @@ from repro.gen.renren import generate_trace
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
-from repro.metrics.timeseries import MetricTimeseries, compute_metric_timeseries
+from repro.metrics.timeseries import MetricTimeseries
 from repro.obs import get_recorder
 from repro.osnmerge.activity import activity_threshold
 from repro.osnmerge.edge_rates import EdgeRateSeries, edges_per_day_by_type
-from repro.runtime.spec import MetricSpec
+from repro.runtime import TIMESERIES, MetricSpec, ResultCache, compute_timeseries
 
 __all__ = ["AnalysisContext"]
 
@@ -110,13 +110,12 @@ class AnalysisContext:
             interval = max(2.0, self.config.days / 40.0)
             spec = MetricSpec(path_sample=200, clustering_sample=800, seed=self.seed)
             stream = self.stream
+            cache = (
+                ResultCache(self.cache_dir, TIMESERIES) if self.cache_dir is not None else None
+            )
             with get_recorder().span("analysis.metrics", interval=interval):
-                self._metrics = compute_metric_timeseries(
-                    stream,
-                    spec,
-                    interval=interval,
-                    workers=self.workers,
-                    cache_dir=self.cache_dir,
+                self._metrics = compute_timeseries(
+                    stream, spec, interval=interval, workers=self.workers, cache=cache
                 )
         return self._metrics
 

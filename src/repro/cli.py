@@ -83,12 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--path-sample", type=int, default=200)
     metrics.add_argument("--clustering-sample", type=int, default=1500)
     metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument(
-        "--json", action="store_true",
-        help="emit times/values (and the profile, with --profile) as JSON",
-    )
+    metrics.add_argument("--json", action="store_true", help="emit times/values as JSON")
     _add_runtime_args(metrics)
-    _add_profile_arg(metrics)
     _add_trace_arg(metrics)
 
     comm = sub.add_parser("communities", help="track communities over a trace")
@@ -103,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("experiment", help="experiment id, e.g. F3c, or 'all'")
     _add_preset_args(exp)
     _add_runtime_args(exp)
-    _add_profile_arg(exp)
     _add_trace_arg(exp)
 
     from repro.devtools.lint import configure_parser as _configure_lint_parser
@@ -251,32 +246,12 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="print per-metric wall-time, per-worker attribution, and cache hit/miss counts",
-    )
-
-
 def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", dest="trace_out", metavar="PATH", default=None,
         help="record an execution trace to PATH (.json -> Chrome trace-event "
              "JSON for Perfetto, anything else -> JSONL span log)",
     )
-
-
-def _emit_profile(profile: dict | None) -> None:
-    """Print the runtime profile table (diagnostics go to stderr, not stdout)."""
-    if profile is None:
-        print(
-            "profile: unavailable (metrics were not evaluated via the runtime)",
-            file=sys.stderr,
-        )
-        return
-    from repro.obs import render_profile
-
-    print(render_profile(profile))
 
 
 @contextlib.contextmanager
@@ -379,9 +354,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.metrics.timeseries import compute_metric_timeseries
-    from repro.runtime import MetricSpec
+    from repro.runtime import TIMESERIES, MetricSpec, ResultCache, compute_timeseries
 
+    cache_dir = _resolve_cache_dir(args)
     spec = MetricSpec(
         path_sample=args.path_sample,
         clustering_sample=args.clustering_sample,
@@ -389,20 +364,17 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     with _traced(args.trace_out):
         stream = _load_events(args.trace)
-        series = compute_metric_timeseries(
+        series = compute_timeseries(
             stream,
             spec,
             interval=args.interval,
             workers=args.workers,
-            cache_dir=_resolve_cache_dir(args),
+            cache=ResultCache(cache_dir, TIMESERIES) if cache_dir is not None else None,
         )
     if args.json:
         import json
 
-        payload: dict = {"times": series.times, "values": series.values}
-        if args.profile:
-            payload["profile"] = series.profile
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"times": series.times, "values": series.values}, indent=2))
         return 0
     names = list(series.values)
     header = "day".rjust(8) + "".join(name.rjust(22) for name in names)
@@ -412,8 +384,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for name in names:
             row += f"{series.values[name][i]:22.4f}"
         print(row)
-    if args.profile:
-        _emit_profile(series.profile)
     return 0
 
 
@@ -522,8 +492,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"[{experiment}] skipped: {exc}")
                 status = 0
-        if args.profile:
-            _emit_profile(ctx.metrics.profile)
     return status
 
 

@@ -21,6 +21,7 @@ limits).
 from __future__ import annotations
 
 import ast
+import functools
 from collections.abc import Iterator
 
 from repro.devtools.dataflow import (
@@ -82,12 +83,13 @@ def _own_expressions(stmt: ast.stmt) -> Iterator[ast.AST]:
         yield from _walk_expr(expr)
 
 
-def _statements(
-    module: ModuleInfo,
-) -> Iterator[tuple[DtypeEnv, list, ast.stmt]]:
+# The engine runs every file rule on one module before the next, so a
+# one-entry cache lets RPL020-RPL022 share one dtype-flow pass per module.
+@functools.lru_cache(maxsize=1)
+def _statements(tree: ast.Module) -> list[tuple[DtypeEnv, list, ast.stmt]]:
     """Every statement of every scope, with its dtype env and guards."""
-    np_names = numpy_aliases(module.tree)
-    summaries = alias_summaries(module.tree)
+    np_names = numpy_aliases(tree)
+    summaries = alias_summaries(tree)
     alias_params = {
         "IntArray": "int64",
         "FloatArray": "float64",
@@ -95,12 +97,14 @@ def _statements(
         "UIntArray": "uint64",
         "UInt16Array": "uint16",
     }
-    for scope, body in scope_bodies(module.tree):
+    statements: list[tuple[DtypeEnv, list, ast.stmt]] = []
+    for scope, body in scope_bodies(tree):
         env = DtypeEnv.for_scope(scope, body, np_names, summaries, alias_params)
         guards = collect_guards(body)
-        for node in walk_shallow(body):
-            if isinstance(node, ast.stmt):
-                yield env, guards, node
+        statements.extend(
+            (env, guards, node) for node in walk_shallow(body) if isinstance(node, ast.stmt)
+        )
+    return statements
 
 
 class NarrowArithmeticRule(FileRule):
@@ -114,7 +118,7 @@ class NarrowArithmeticRule(FileRule):
     )
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
-        for env, guards, stmt in _statements(module):
+        for env, guards, stmt in _statements(module.tree):
             for node in _own_expressions(stmt):
                 if not isinstance(node, ast.BinOp):
                     continue
@@ -164,7 +168,7 @@ class DowncastWithoutGuardRule(FileRule):
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
         np_names = numpy_aliases(module.tree)
-        for env, guards, stmt in _statements(module):
+        for env, guards, stmt in _statements(module.tree):
             for node in _own_expressions(stmt):
                 if not isinstance(node, ast.Call):
                     continue
@@ -236,7 +240,7 @@ class UnsizedAccumulatorRule(FileRule):
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
         np_names = numpy_aliases(module.tree)
         math_names = module_aliases(module.tree, "math")
-        for env, _guards, stmt in _statements(module):
+        for env, _guards, stmt in _statements(module.tree):
             for node in _own_expressions(stmt):
                 if not isinstance(node, ast.Call):
                     continue

@@ -77,10 +77,6 @@ DEFERRED_EDGES: dict[tuple[str, str], str] = {
         "constructors; deferring keeps the kernel layer loadable without "
         "the graph layer"
     ),
-    ("metrics", "runtime"): (
-        "compute_metric_timeseries is a stable facade that delegates "
-        "MetricSpec runs upward to the runtime scheduler"
-    ),
 }
 
 

@@ -36,7 +36,6 @@ PICKLE_WHITELIST: frozenset[str] = frozenset(
         "MetricSpec",
         "ReplayCheckpoint",
         "Window",
-        "StoreWindow",
         "WindowResult",
     }
 )
@@ -44,10 +43,9 @@ PICKLE_WHITELIST: frozenset[str] = frozenset(
 #: qualified function name -> payload type names it receives (initargs or
 #: the mapped iterable's element type) and returns.
 WORKER_MANIFEST: dict[str, tuple[str, ...]] = {
-    "repro.runtime.parallel._init_worker": ("EventStream", "MetricSpec", "bool"),
-    "repro.runtime.parallel._init_store_worker": ("str", "MetricSpec", "bool"),
+    # The source is the EventStream itself or an EventStore's path.
+    "repro.runtime.parallel._init_worker": ("EventStream", "str", "MetricSpec", "bool"),
     "repro.runtime.parallel._run_window": ("Window", "WindowResult"),
-    "repro.runtime.parallel._run_store_window": ("StoreWindow", "WindowResult"),
     # repro.serve shard workers: every request/response payload is a plain
     # JSON string, the cheapest possible pickle.
     "repro.serve.workers._init_serve_worker": ("str", "NoneType", "int", "bool"),

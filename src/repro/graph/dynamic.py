@@ -16,7 +16,27 @@ from repro.graph.checkpoint import CSRAdjacency, ReplayCheckpoint
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
 
-__all__ = ["DynamicGraph", "SnapshotView"]
+__all__ = ["DynamicGraph", "SnapshotView", "snapshot_times"]
+
+
+def snapshot_times(end: float, interval: float, start: float | None = None) -> list[float]:
+    """The snapshot grid: every ``interval`` days from ``start`` to ``end``.
+
+    ``start`` defaults to one interval in.  The final partial interval is
+    included as ``end`` itself, so the last events are never dropped.
+    Times accumulate by repeated addition; :meth:`DynamicGraph.snapshots`
+    and the parallel runtime both walk this one grid, so their floats agree
+    bit for bit.
+    """
+    if interval <= 0:
+        raise ValueError(f"interval must be positive, got {interval}")
+    times: list[float] = []
+    t = interval if start is None else start
+    while t < end:
+        times.append(t)
+        t += interval
+    times.append(end)
+    return times
 
 
 @dataclass(frozen=True)
@@ -148,14 +168,10 @@ class DynamicGraph:
         to the stream's last event time.  The final partial interval is
         included so the last events are never dropped.
         """
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
         stop = self.stream.end_time if end is None else end
-        t = (self.time_cursor + interval) if start is None else start
-        while t < stop:
+        first = (self.time_cursor + interval) if start is None else start
+        for t in snapshot_times(stop, interval, first):
             yield self.advance_to(t)
-            t += interval
-        yield self.advance_to(stop)
 
     def final(self) -> GraphSnapshot:
         """Apply all remaining events and return the live snapshot."""

@@ -146,6 +146,15 @@ class EventStream:
         e_lo, e_hi = bisect.bisect_left(edge_times, start), bisect.bisect_right(edge_times, end)
         return EventStream(nodes=self.nodes[n_lo:n_hi], edges=self.edges[e_lo:e_hi])
 
+    def slice_events(self, node_lo: int, node_hi: int, edge_lo: int, edge_hi: int) -> "EventStream":
+        """The sub-stream of events by index range ``[lo, hi)`` per kind.
+
+        The in-memory twin of
+        :meth:`repro.store.reader.EventStore.slice_events`: parallel replay
+        workers call it on whichever source they were handed.
+        """
+        return EventStream(nodes=self.nodes[node_lo:node_hi], edges=self.edges[edge_lo:edge_hi])
+
     def extend(self, nodes: Iterable[NodeArrival], edges: Iterable[EdgeArrival]) -> None:
         """Append events and restore time order."""
         self.nodes.extend(nodes)

@@ -2,8 +2,9 @@
 
 Each metric module exposes a pure function over a
 :class:`~repro.graph.snapshot.GraphSnapshot`;
-:class:`~repro.metrics.timeseries.MetricTimeseries` drives them across a
-snapshot series at a chosen cadence.
+:func:`repro.runtime.compute_timeseries` drives them across a snapshot
+series at a chosen cadence and returns a
+:class:`~repro.metrics.timeseries.MetricTimeseries`.
 """
 
 from repro.metrics.assortativity import degree_assortativity
@@ -12,7 +13,7 @@ from repro.metrics.degree import average_degree, degree_distribution
 from repro.metrics.diameter import effective_diameter_sampled
 from repro.metrics.growth import GrowthSeries, daily_growth
 from repro.metrics.paths import average_path_length_sampled
-from repro.metrics.timeseries import MetricTimeseries, compute_metric_timeseries
+from repro.metrics.timeseries import MetricTimeseries
 
 __all__ = [
     "effective_diameter_sampled",
@@ -25,5 +26,4 @@ __all__ = [
     "local_clustering",
     "degree_assortativity",
     "MetricTimeseries",
-    "compute_metric_timeseries",
 ]

@@ -27,8 +27,8 @@ Layout:
   cross-lane rollups (histograms merge bucket-wise);
 * :mod:`~repro.obs.export` — JSONL span log and Chrome trace-event JSON
   (Perfetto-loadable) writers/readers;
-* :mod:`~repro.obs.summary` — human tables for traces, runtime profiles,
-  and regression diffs, plus :func:`~repro.obs.summary.regressed`, the
+* :mod:`~repro.obs.summary` — human tables for traces and regression
+  diffs, plus :func:`~repro.obs.summary.regressed`, the
   one regression predicate (``repro obs diff`` and the benchmark gate).
 """
 
@@ -63,7 +63,6 @@ from repro.obs.summary import (
     flatten_numeric,
     regressed,
     render_diff,
-    render_profile,
     render_trace,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "read_jsonl",
     "regressed",
     "render_diff",
-    "render_profile",
     "render_trace",
     "set_recorder",
     "span_tree",

@@ -2,15 +2,11 @@
 
 :func:`render_trace` is what ``repro obs summarize`` prints — per-span
 timing rollups, counters, histograms, and one row per lane.
-:func:`render_profile` renders the runtime's ``MetricTimeseries.profile``
-dict (workers, cache hit/miss, per-metric wall time, per-worker
-attribution); it subsumes the ad-hoc ``_print_profile`` table the CLI
-used to carry.  :func:`flatten_numeric` / :func:`diff_rows` /
-:func:`render_diff` power ``repro obs diff``: two telemetry or trace
-snapshots flattened to dotted numeric rows and compared with percent
-deltas.  :func:`regressed` is the one predicate that calls a row a
-regression; ``repro obs diff --fail-above`` and
-``scripts/bench_check.py`` both gate on it.
+:func:`flatten_numeric` / :func:`diff_rows` / :func:`render_diff` power
+``repro obs diff``: two telemetry or trace snapshots flattened to dotted
+numeric rows and compared with percent deltas.  :func:`regressed` is the
+one predicate that calls a row a regression; ``repro obs diff
+--fail-above`` and ``scripts/bench_check.py`` both gate on it.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ __all__ = [
     "flatten_numeric",
     "regressed",
     "render_diff",
-    "render_profile",
     "render_trace",
 ]
 
@@ -71,37 +66,6 @@ def render_trace(payload: dict[str, Any]) -> str:
             f"{row['lane']:>6d}  {row['label']:<14}{row['pid']:>8d}{row['spans']:>8d}"
             f"{row['total_s']:>10.3f}{peak_mb:>10.1f}"
         )
-    return "\n".join(lines)
-
-
-def render_profile(profile: dict[str, Any]) -> str:
-    """The runtime profile dict as a summary table.
-
-    Keeps the historic header shape (``workers: ...  cache: H hit(s) /
-    M miss(es)`` plus the per-metric table) and appends the
-    per-worker attribution rows when the runtime recorded them.
-    """
-    hits = profile.get("cache_hits", 0)
-    misses = profile.get("cache_misses", 0)
-    lines = [
-        f"workers: {profile.get('workers', 1)}  cache: {hits} hit(s) / {misses} miss(es)"
-    ]
-    metric_seconds = profile.get("metric_seconds") or {}
-    lines.append(f"{'metric':<24}{'snapshots':>10}{'total s':>12}{'mean ms':>12}")
-    for name, seconds in metric_seconds.items():
-        total = sum(seconds)
-        mean_ms = 1000.0 * total / len(seconds) if seconds else float("nan")
-        lines.append(f"{name:<24}{len(seconds):>10d}{total:>12.3f}{mean_ms:>12.2f}")
-    detail = profile.get("worker_detail") or []
-    if detail:
-        lines.append(f"{'worker':>8}  {'label':<14}{'snapshots':>10}{'busy s':>10}"
-                     f"{'cache h/m':>11}")
-        for row in detail:
-            cache = f"{row.get('cache_hits', 0)}/{row.get('cache_misses', 0)}"
-            lines.append(
-                f"{row['worker']:>8d}  {row.get('label', '-'):<14}"
-                f"{row['snapshots']:>10d}{row['seconds']:>10.3f}{cache:>11}"
-            )
     return "\n".join(lines)
 
 

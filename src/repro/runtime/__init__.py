@@ -13,23 +13,23 @@ driver.  This subpackage makes the same computation scale:
 * :mod:`~repro.runtime.cache` — the content-addressed on-disk cache (one
   atomic entry store, with codecs for metric timeseries and serve reports)
   keyed by stream content + spec + cadence;
-* :func:`~repro.runtime.api.compute_timeseries` — the front door that
-  composes all three.
+* :func:`~repro.runtime.api.compute_timeseries` — the one front door,
+  composing all three; its timings go to the trace recorder.
 """
 
 from repro.runtime.api import compute_timeseries
-from repro.runtime.cache import ResultCache, default_cache_dir, stream_digest
+from repro.runtime.cache import TIMESERIES, ResultCache, default_cache_dir, stream_digest
 from repro.runtime.parallel import evaluate_timeseries, mp_context
-from repro.runtime.spec import STANDARD_METRIC_NAMES, MetricSpec, snapshot_times
+from repro.runtime.spec import STANDARD_METRIC_NAMES, MetricSpec
 
 __all__ = [
     "MetricSpec",
     "ResultCache",
     "STANDARD_METRIC_NAMES",
+    "TIMESERIES",
     "compute_timeseries",
     "default_cache_dir",
     "evaluate_timeseries",
     "mp_context",
-    "snapshot_times",
     "stream_digest",
 ]

@@ -1,18 +1,16 @@
 """The runtime front door: cache lookup around parallel evaluation.
 
-:func:`compute_timeseries` is what the CLI, :class:`AnalysisContext`, and
-:func:`repro.metrics.timeseries.compute_metric_timeseries` (when handed a
-:class:`~repro.runtime.spec.MetricSpec`) all call.
+:func:`compute_timeseries` is the one way to get a metric timeseries: the
+CLI, :class:`~repro.analysis.AnalysisContext` and ``repro serve`` all call
+it.  Its timings go to the trace recorder (``--trace``, then ``repro obs
+summarize``), never into the result.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any
-
 from repro.graph.events import EventStream
 from repro.metrics.timeseries import MetricTimeseries
-from repro.runtime.cache import TIMESERIES, ResultCache, stream_digest, timeseries_key
+from repro.runtime.cache import ResultCache, stream_digest, timeseries_key
 from repro.runtime.parallel import evaluate_timeseries
 from repro.runtime.spec import MetricSpec
 from repro.store.reader import EventStore
@@ -26,14 +24,16 @@ def compute_timeseries(
     interval: float = 3.0,
     start: float | None = None,
     workers: int = 1,
-    cache_dir: str | Path | None = None,
+    cache: ResultCache[MetricTimeseries] | None = None,
 ) -> MetricTimeseries:
-    """Evaluate ``spec`` over ``stream``, with optional caching.
+    """Evaluate ``spec`` over ``stream``, with an optional result cache.
 
-    ``cache_dir=None`` disables the cache entirely.  With a directory, the
-    result is keyed by stream content + spec + cadence (worker count does
-    not participate: serial and parallel results are bit-identical), so a
-    re-run with unchanged inputs is a pure read.
+    ``cache`` is a :class:`~repro.runtime.cache.ResultCache` with the
+    :data:`~repro.runtime.cache.TIMESERIES` codec, or ``None`` to disable
+    caching.  The result is keyed by stream content + spec + cadence
+    (worker count does not participate: serial and parallel results are
+    bit-identical), so a re-run with unchanged inputs is a pure read; the
+    caller reads the cache's ``hits``/``misses`` to tell which happened.
 
     ``stream`` may be an open :class:`~repro.store.reader.EventStore`.  The
     cache key comes straight from the store manifest's content digest, so a
@@ -41,13 +41,11 @@ def compute_timeseries(
     decoded once in the parent and parallel workers read only their own
     window's chunks from disk instead of receiving the whole stream.
     """
-    cache = ResultCache(cache_dir, TIMESERIES) if cache_dir is not None else None
     key = None
     if cache is not None:
         key = timeseries_key(stream_digest(stream), spec, interval, start)
         hit = cache.load(key)
         if hit is not None:
-            hit.profile = _profile(spec, workers, hit.profile, cache)
             return hit
     store = stream if isinstance(stream, EventStore) else None
     events = stream.to_stream() if isinstance(stream, EventStore) else stream
@@ -56,44 +54,4 @@ def compute_timeseries(
     )
     if cache is not None and key is not None:
         cache.store(key, series)
-    series.profile = _profile(spec, workers, series.profile, cache)
     return series
-
-
-def _profile(
-    spec: MetricSpec,
-    workers: int,
-    base: dict[str, Any] | None,
-    cache: ResultCache[MetricTimeseries] | None,
-) -> dict[str, Any]:
-    """Run metadata for :attr:`MetricTimeseries.profile`.
-
-    A cache hit carries no timings (nothing was evaluated), so
-    ``metric_seconds`` maps every metric to an empty list in that case and
-    ``worker_detail`` holds a single idle main row.
-
-    Cache traffic is attributed to worker 0 ("main") in ``worker_detail``:
-    only the parent process ever touches the result cache, so per-worker
-    cache columns are exact, not estimates.
-    """
-    profile: dict[str, Any] = base if base is not None else {
-        "workers": workers,
-        "metric_seconds": {name: [] for name in spec.names},
-    }
-    profile["cache_hits"] = cache.hits if cache is not None else 0
-    profile["cache_misses"] = cache.misses if cache is not None else 0
-    detail: list[dict[str, Any]] = profile.setdefault("worker_detail", [])
-    main = next((row for row in detail if row.get("worker") == 0), None)
-    if main is None:
-        main = {
-            "worker": 0,
-            "label": "main",
-            "snapshots": 0,
-            "seconds": 0.0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-        }
-        detail.insert(0, main)
-    main["cache_hits"] = profile["cache_hits"]
-    main["cache_misses"] = profile["cache_misses"]
-    return profile

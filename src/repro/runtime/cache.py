@@ -151,7 +151,8 @@ class ResultCache(Generic[T]):
     """A directory of ``<key><codec.suffix>`` entries.
 
     ``hits`` and ``misses`` count :meth:`load` outcomes over the cache
-    object's lifetime (the runtime's ``--profile`` report reads them).
+    object's lifetime (``repro serve`` reads ``hits`` to report a
+    ``/metrics`` cache hit).
     """
 
     def __init__(self, root: str | Path, codec: Codec[T]) -> None:

@@ -12,14 +12,12 @@ rows back in grid order yields output bit-identical to a serial run.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import multiprocessing
-from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 from repro.graph.checkpoint import ReplayCheckpoint
-from repro.graph.dynamic import DynamicGraph
+from repro.graph.dynamic import DynamicGraph, snapshot_times
 from repro.graph.events import EventStream
 from repro.kernels.csr import CSRGraph
 from repro.metrics.timeseries import MetricTimeseries
@@ -31,45 +29,44 @@ from repro.obs import (
     perf_counter,
     use_recorder,
 )
-from repro.runtime.spec import MetricSpec, snapshot_times
+from repro.runtime.spec import MetricSpec
 from repro.store.reader import EventStore
 
 __all__ = ["evaluate_timeseries", "mp_context"]
 
 # One row per non-empty snapshot: (grid index, time, values in spec.names
-# order, per-metric wall-clock seconds in the same order).
-Row = tuple[int, float, list[float], list[float]]
+# order).
+Row = tuple[int, float, list[float]]
 
 # What one window sends back: its rows plus, when tracing, the worker's
 # recorder shard (a plain dict — no recorder object crosses the process
 # boundary).
 WindowResult = tuple[list[Row], dict[str, Any] | None]
 
-# Worker-process globals.  Under fork they are set in the parent right
-# before the pool starts and inherited copy-on-write — the multi-megabyte
-# event stream is never pickled.  Under spawn they are installed per worker
-# by _init_worker (pickled once per process, not once per window).
-_WORKER_STREAM: EventStream | None = None
+# One window's payload: the lane, the checkpoint at the window's start,
+# the window's half-open event-index ranges [node_lo, node_hi) /
+# [edge_lo, edge_hi), and its snapshot times.
+Window = tuple[
+    int,
+    ReplayCheckpoint,
+    tuple[int, int],
+    tuple[int, int],
+    list[tuple[int, float]],
+]
+
+# Worker-process state, installed once per process by _init_worker.  The
+# source is the parent's EventStream (inherited under fork — initargs are
+# never pickled there — and pickled once per process under spawn) or an
+# EventStore opened from its path, which costs O(chunks) stat calls and
+# leaves the event payload on disk.
+_WORKER_SOURCE: EventStream | EventStore | None = None
 _WORKER_SPEC: MetricSpec | None = None
-_WORKER_STORE: EventStore | None = None
 _WORKER_TRACING: bool = False
 
 
-def _init_worker(stream: EventStream, spec: MetricSpec, tracing: bool = False) -> None:
-    global _WORKER_STREAM, _WORKER_SPEC, _WORKER_TRACING
-    _WORKER_STREAM = stream
-    _WORKER_SPEC = spec
-    _WORKER_TRACING = tracing
-
-
-def _init_store_worker(store_path: str, spec: MetricSpec, tracing: bool = False) -> None:
-    """Install the store-backed worker state: a memmap handle, not a stream.
-
-    Opening a store is O(chunks) stat calls; the event payload itself
-    stays on disk and each window materializes only its own chunk rows.
-    """
-    global _WORKER_STORE, _WORKER_SPEC, _WORKER_TRACING
-    _WORKER_STORE = EventStore(store_path)
+def _init_worker(source: EventStream | str, spec: MetricSpec, tracing: bool) -> None:
+    global _WORKER_SOURCE, _WORKER_SPEC, _WORKER_TRACING
+    _WORKER_SOURCE = EventStore(source) if isinstance(source, str) else source
     _WORKER_SPEC = spec
     _WORKER_TRACING = tracing
 
@@ -111,17 +108,13 @@ def _evaluate_rows(
             rec.observe("kernels.csr_build_seconds", perf_counter() - stage_began)
         fns = spec.build(index)
         values: list[float] = []
-        seconds: list[float] = []
-        # Profiling metadata only: the timings feed --profile and never
-        # influence any computed metric value.
         for name in spec.names:
+            stage_began = perf_counter()
             with rec.span(f"metric.{name}", snapshot=index):
-                began = perf_counter()
                 values.append(fns[name](view.graph, csr))
-                seconds.append(perf_counter() - began)
             if rec.enabled:
-                rec.observe(f"metric.{name}.seconds", seconds[-1])
-        rows.append((index, time, values, seconds))
+                rec.observe(f"metric.{name}.seconds", perf_counter() - stage_began)
+        rows.append((index, time, values))
         if rec.enabled:
             rec.count("runtime.snapshots", 1)
         # Free this snapshot's CSR before the next one is built, so two are
@@ -130,16 +123,34 @@ def _evaluate_rows(
     return rows
 
 
-def _traced_rows(lane: int, evaluate: Callable[[], list[Row]]) -> WindowResult:
-    """Run one window's evaluation, collecting a trace shard when enabled.
+def _run_window(payload: Window) -> WindowResult:
+    """Evaluate one window from the installed source's events.
 
-    Tracing installs a fresh per-process :class:`TraceRecorder` whose lane
-    is the *window index* (1-based; lane 0 is the parent) — a stable
-    identity independent of which OS process picked the window up — so the
-    merged trace is deterministic under any scheduling.  The recorder is
-    purely observational: it consumes no randomness, so the rows are
+    The worker replays only its window's slice of the source.  The
+    checkpoint's cursors are rebased to zero against that sub-stream: the
+    events it skips are exactly the events the checkpoint graph already
+    contains, so replay — and therefore every metric value — is
+    bit-identical to a serial run.
+
+    With tracing on, a fresh per-process :class:`TraceRecorder` collects
+    the window's shard.  Its lane is the *window index* (1-based; lane 0
+    is the parent) — a stable identity independent of which OS process
+    picked the window up — so the merged trace is deterministic under any
+    scheduling.  The recorder consumes no randomness, so the rows are
     bit-identical with tracing on or off.
     """
+    lane, checkpoint, (node_lo, node_hi), (edge_lo, edge_hi), indexed_times = payload
+    assert _WORKER_SOURCE is not None and _WORKER_SPEC is not None
+    source, spec = _WORKER_SOURCE, _WORKER_SPEC
+
+    def evaluate() -> list[Row]:
+        substream = source.slice_events(node_lo, node_hi, edge_lo, edge_hi)
+        rebased = ReplayCheckpoint(
+            time=checkpoint.time, node_index=0, edge_index=0, csr=checkpoint.csr
+        )
+        replay = DynamicGraph.from_checkpoint(substream, rebased)
+        return _evaluate_rows(replay, spec, indexed_times)
+
     if not _WORKER_TRACING:
         return evaluate(), None
     recorder = TraceRecorder(lane=lane, label=f"worker-{lane}")
@@ -149,58 +160,6 @@ def _traced_rows(lane: int, evaluate: Callable[[], list[Row]]) -> WindowResult:
     return rows, recorder.shard()
 
 
-# Stream-window payload: the lane, the checkpoint, this window's snapshot
-# times.
-Window = tuple[int, ReplayCheckpoint, list[tuple[int, float]]]
-
-
-def _run_window(payload: Window) -> WindowResult:
-    lane, checkpoint, indexed_times = payload
-    assert _WORKER_STREAM is not None and _WORKER_SPEC is not None
-    stream, spec = _WORKER_STREAM, _WORKER_SPEC
-
-    def evaluate() -> list[Row]:
-        replay = DynamicGraph.from_checkpoint(stream, checkpoint)
-        return _evaluate_rows(replay, spec, indexed_times)
-
-    return _traced_rows(lane, evaluate)
-
-
-# Store-window payload: the lane, the checkpoint, this window's half-open
-# event-index ranges [node_lo, node_hi) / [edge_lo, edge_hi), and its
-# snapshot times.
-StoreWindow = tuple[
-    int,
-    ReplayCheckpoint,
-    tuple[int, int],
-    tuple[int, int],
-    list[tuple[int, float]],
-]
-
-
-def _run_store_window(payload: StoreWindow) -> WindowResult:
-    """Evaluate one window reading only its own chunk rows from the store.
-
-    The checkpoint's cursors are rebased to zero against the window-local
-    sub-stream: the events it skips are exactly the events the checkpoint
-    graph already contains, so replay — and therefore every metric value —
-    is bit-identical to the full-stream path.
-    """
-    lane, checkpoint, (node_lo, node_hi), (edge_lo, edge_hi), indexed_times = payload
-    assert _WORKER_STORE is not None and _WORKER_SPEC is not None
-    store, spec = _WORKER_STORE, _WORKER_SPEC
-
-    def evaluate() -> list[Row]:
-        substream = store.slice_events(node_lo, node_hi, edge_lo, edge_hi)
-        rebased = ReplayCheckpoint(
-            time=checkpoint.time, node_index=0, edge_index=0, csr=checkpoint.csr
-        )
-        replay = DynamicGraph.from_checkpoint(substream, rebased)
-        return _evaluate_rows(replay, spec, indexed_times)
-
-    return _traced_rows(lane, evaluate)
-
-
 def _window_weights(stream: EventStream, times: list[float]) -> list[float]:
     """Predicted relative cost of evaluating the snapshot at each time.
 
@@ -208,7 +167,7 @@ def _window_weights(stream: EventStream, times: list[float]) -> list[float]:
     count of the snapshot — so the edge count at each grid time (plus a
     constant floor) is a good balance weight.
     """
-    edge_times = [ev.time for ev in stream.edges]
+    edge_times = stream.edge_times()
     return [1.0 + bisect.bisect_right(edge_times, t) for t in times]
 
 
@@ -273,46 +232,25 @@ def evaluate_timeseries(
     results for the same ``(stream, spec, interval, start)``.
 
     ``store`` (when the stream came from a columnar store) changes only
-    *how* parallel workers receive their events: instead of inheriting or
-    pickling the whole stream, each worker memmaps the store and decodes
-    just its own window's chunk rows.  It must hold the same events as
-    ``stream``; :func:`repro.runtime.api.compute_timeseries` wires this up
+    *where* parallel workers read their events: each worker opens the
+    store and decodes just its own window's chunk rows instead of slicing
+    the parent's stream.  It must hold the same events as ``stream``;
+    :func:`repro.runtime.api.compute_timeseries` wires this up
     automatically for :class:`~repro.store.reader.EventStore` inputs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    times = snapshot_times(stream.end_time, interval, start)
-    indexed = list(enumerate(times))
+    indexed = list(enumerate(snapshot_times(stream.end_time, interval, start)))
     if workers == 1 or len(indexed) < 2:
         rows = _evaluate_rows(DynamicGraph(stream), spec, indexed)
-        detail = [_worker_stat(0, "main", rows)]
     else:
-        rows, detail = _evaluate_parallel(stream, spec, indexed, workers, store)
+        rows = _evaluate_parallel(stream, spec, indexed, workers, store)
     series = MetricTimeseries(values={name: [] for name in spec.names})
-    metric_seconds: dict[str, list[float]] = {name: [] for name in spec.names}
-    for _, time, values, seconds in sorted(rows):
+    for _, time, values in sorted(rows):
         series.times.append(time)
-        for name, value, spent in zip(spec.names, values, seconds, strict=True):
+        for name, value in zip(spec.names, values, strict=True):
             series.values[name].append(value)
-            metric_seconds[name].append(spent)
-    series.profile = {
-        "workers": workers,
-        "metric_seconds": metric_seconds,
-        "worker_detail": detail,
-    }
     return series
-
-
-def _worker_stat(lane: int, label: str, rows: list[Row]) -> dict[str, Any]:
-    """One ``worker_detail`` profile row: who evaluated what, for how long."""
-    return {
-        "worker": lane,
-        "label": label,
-        "snapshots": len(rows),
-        "seconds": sum(sum(seconds) for _, _, _, seconds in rows),
-        "cache_hits": 0,
-        "cache_misses": 0,
-    }
 
 
 def _evaluate_parallel(
@@ -320,84 +258,43 @@ def _evaluate_parallel(
     spec: MetricSpec,
     indexed: list[tuple[int, float]],
     workers: int,
-    store: EventStore | None = None,
-) -> tuple[list[Row], list[dict[str, Any]]]:
+    store: EventStore | None,
+) -> list[Row]:
     rec = get_recorder()
-    tracing = rec.enabled
     chunks = _partition(_window_weights(stream, [t for _, t in indexed]), workers)
-    # One structural replay to place a checkpoint at each window boundary.
-    # This is O(events) with no metric work, so it is cheap relative to the
-    # metric evaluation it unlocks.  For store-backed runs the replay also
-    # yields each window's event-index range, which is all a worker needs
-    # to pull its slice out of the store.
-    payloads: list[Any] = []
+    # One structural replay places a checkpoint at each window boundary
+    # and yields each window's event-index range, which is all a worker
+    # needs to pull its slice out of the source.  This is O(events) with
+    # no metric work, so it is cheap relative to the metric evaluation it
+    # unlocks.
+    payloads: list[Window] = []
     with rec.span("replay.checkpoints", windows=len(chunks)):
         replay = DynamicGraph(stream)
         for lane0, chunk in enumerate(chunks):
-            lane = 1 + lane0
             checkpoint = replay.checkpoint()
             replay.advance_to(indexed[chunk[-1]][1])
-            window_times = [indexed[i] for i in chunk]
-            if store is not None:
-                payloads.append(
-                    (
-                        lane,
-                        checkpoint,
-                        (checkpoint.node_index, replay.node_cursor),
-                        (checkpoint.edge_index, replay.edge_cursor),
-                        window_times,
-                    )
+            payloads.append(
+                (
+                    1 + lane0,
+                    checkpoint,
+                    (checkpoint.node_index, replay.node_cursor),
+                    (checkpoint.edge_index, replay.edge_cursor),
+                    [indexed[i] for i in chunk],
                 )
-            else:
-                payloads.append((lane, checkpoint, window_times))
-    context = _mp_context()
-    pool_kwargs: dict[str, Any] = {}
-    handoff: contextlib.AbstractContextManager[None] = contextlib.nullcontext()
-    run: Callable[[Any], WindowResult]
-    if store is not None:
-        # The store path is tiny and the chunk pages are shared through the
-        # page cache, so both fork and spawn use the same initializer.
-        run = _run_store_window
-        pool_kwargs = {
-            "initializer": _init_store_worker,
-            "initargs": (str(store.path), spec, tracing),
-        }
-    elif context.get_start_method() == "fork":
-        run = _run_window
-        handoff = _inherited_globals(stream, spec, tracing)
-    else:
-        run = _run_window
-        pool_kwargs = {"initializer": _init_worker, "initargs": (stream, spec, tracing)}
+            )
+    source: EventStream | str = stream if store is None else str(store.path)
     rows: list[Row] = []
-    detail: list[dict[str, Any]] = []
     shards: list[dict[str, Any]] = []
     with rec.span("runtime.pool", windows=len(payloads)):
-        with handoff:
-            with ProcessPoolExecutor(
-                max_workers=len(payloads), mp_context=context, **pool_kwargs
-            ) as pool:
-                for lane0, (window_rows, shard) in enumerate(pool.map(run, payloads)):
-                    rows.extend(window_rows)
-                    detail.append(_worker_stat(1 + lane0, f"worker-{1 + lane0}", window_rows))
-                    if shard is not None:
-                        shards.append(shard)
+        with ProcessPoolExecutor(
+            max_workers=len(payloads),
+            mp_context=_mp_context(),
+            initializer=_init_worker,
+            initargs=(source, spec, rec.enabled),
+        ) as pool:
+            for window_rows, shard in pool.map(_run_window, payloads):
+                rows.extend(window_rows)
+                if shard is not None:
+                    shards.append(shard)
     attach_shards(rec, shards)
-    return rows, detail
-
-
-@contextlib.contextmanager
-def _inherited_globals(
-    stream: EventStream, spec: MetricSpec, tracing: bool
-) -> Iterator[None]:
-    """Expose the stream/spec to fork-children via the parent's module state.
-
-    Workers are forked lazily on first submit, inside this scope, so they
-    inherit the globals; the parent restores its state on exit.
-    """
-    global _WORKER_STREAM, _WORKER_SPEC, _WORKER_TRACING
-    previous = (_WORKER_STREAM, _WORKER_SPEC, _WORKER_TRACING)
-    _WORKER_STREAM, _WORKER_SPEC, _WORKER_TRACING = stream, spec, tracing
-    try:
-        yield
-    finally:
-        _WORKER_STREAM, _WORKER_SPEC, _WORKER_TRACING = previous
+    return rows

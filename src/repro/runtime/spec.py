@@ -1,13 +1,11 @@
 """Declarative metric suites with per-snapshot seeding.
 
-:func:`repro.metrics.timeseries.standard_metrics` returns closures that
-share one RNG whose state threads through the whole replay — inherently
-serial.  :class:`MetricSpec` replaces the closures with a picklable
-description: metric *names* plus sampling parameters plus a seed.  The
-callables are rebuilt per snapshot with an RNG seeded by
-``(seed, snapshot_index)``, so any process evaluating any snapshot draws
-the same random numbers — the property that makes windowed parallel
-replay bit-identical to a serial run.
+:class:`MetricSpec` is a picklable description of a metric suite:
+metric *names* plus sampling parameters plus a seed.  The callables are
+rebuilt per snapshot with an RNG seeded by ``(seed, snapshot_index)``, so
+any process evaluating any snapshot draws the same random numbers — the
+property that makes windowed parallel replay bit-identical to a serial
+run.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from repro.metrics.paths import average_path_length_sampled
 if TYPE_CHECKING:
     from repro.kernels.csr import CSRGraph
 
-__all__ = ["MetricSpec", "STANDARD_METRIC_NAMES", "snapshot_times"]
+__all__ = ["MetricSpec", "STANDARD_METRIC_NAMES"]
 
 # Metric callables take the snapshot plus an optional prebuilt CSRGraph of
 # the same snapshot; the runtime builds one per snapshot and shares it
@@ -91,22 +89,3 @@ class MetricSpec:
         payload = json.dumps(asdict(self), sort_keys=True, default=list)
         return hashlib.sha256(payload.encode()).hexdigest()
 
-
-def snapshot_times(end_time: float, interval: float, start: float | None = None) -> list[float]:
-    """The snapshot grid a fresh serial replay would visit.
-
-    Mirrors :meth:`repro.graph.dynamic.DynamicGraph.snapshots` for a
-    replay started from the beginning: samples every ``interval`` days
-    from ``start`` (default one interval in), plus the final partial
-    interval at ``end_time``.  Times accumulate by repeated addition so
-    the floats match the serial iterator bit-for-bit.
-    """
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
-    times: list[float] = []
-    t = interval if start is None else start
-    while t < end_time:
-        times.append(t)
-        t += interval
-    times.append(end_time)
-    return times

@@ -21,8 +21,9 @@ Answer paths, none of which replay on a warm cache:
 
 * ``/info`` and ``/snapshot`` — manifest fields and ``searchsorted``
   event counts straight off the memory map;
-* ``/metrics`` — :func:`repro.runtime.compute_timeseries`, whose result
-  cache is keyed by store digest + spec + cadence;
+* ``/metrics`` — :func:`repro.runtime.compute_timeseries` with the
+  worker's :data:`~repro.runtime.cache.TIMESERIES` cache, keyed by store
+  digest + spec + cadence (its ``hits`` counter tells hit from miss);
 * ``/communities`` and ``/merge-impact`` — replay-derived reports
   persisted as JSON entries of the same
   :class:`~repro.runtime.cache.ResultCache` store (the
@@ -41,8 +42,9 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
+from repro.metrics.timeseries import MetricTimeseries
 from repro.obs import TailSampler, TraceRecorder, get_recorder, perf_counter, set_recorder
-from repro.runtime.cache import REPORT, ResultCache, cache_key
+from repro.runtime.cache import REPORT, TIMESERIES, ResultCache, cache_key
 from repro.serve.protocol import QueryError, dumps, envelope, error_body, json_safe
 from repro.store.reader import EventStore
 
@@ -57,7 +59,7 @@ __all__ = [
 # Worker-process state, installed by _init_serve_worker (RPL032): the
 # memory-mapped store, the cache handles, and the bounded response memo.
 _STORE: EventStore | None = None
-_CACHE_DIR: str | None = None
+_SERIES_CACHE: ResultCache[MetricTimeseries] | None = None
 _REPORT_CACHE: ResultCache[str] | None = None
 _MEMO: dict[str, tuple[str, str]] = {}
 _MEMO_LIMIT = 512
@@ -84,9 +86,9 @@ def _init_serve_worker(
     without ``--trace`` it runs tail-biased span sampling plus a span
     cap, so long-serving workers hold bounded trace state.
     """
-    global _STORE, _CACHE_DIR, _REPORT_CACHE, _MEMO
+    global _STORE, _SERIES_CACHE, _REPORT_CACHE, _MEMO
     _STORE = EventStore(store_path, verify="lazy")
-    _CACHE_DIR = cache_dir
+    _SERIES_CACHE = ResultCache(cache_dir, TIMESERIES) if cache_dir is not None else None
     _REPORT_CACHE = (
         ResultCache(Path(cache_dir) / "serve", REPORT) if cache_dir is not None else None
     )
@@ -277,17 +279,18 @@ def _handle_metrics(params: dict[str, Any]) -> tuple[str, str]:
         clustering_sample=params["clustering_sample"],
         seed=params["seed"],
     )
+    hits_before = _SERIES_CACHE.hits if _SERIES_CACHE is not None else 0
     series = compute_timeseries(
         _store(),
         spec,
         interval=params["interval"],
         start=params["start"],
         workers=1,
-        cache_dir=_CACHE_DIR,
+        cache=_SERIES_CACHE,
     )
     status = "none"
-    if _CACHE_DIR is not None:
-        status = "hit" if series.profile and series.profile["cache_hits"] else "miss"
+    if _SERIES_CACHE is not None:
+        status = "hit" if _SERIES_CACHE.hits > hits_before else "miss"
     body = dumps(
         json_safe({"times": list(series.times), "values": dict(series.values)})
     )

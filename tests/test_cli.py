@@ -75,38 +75,47 @@ class TestCommands:
 
 
 class TestProfileAndBackend:
-    def test_metrics_profile_table(self, trace_path, capsys):
-        args = ["metrics", trace_path, "--interval", "30", "--path-sample", "30", "--profile"]
+    """Timings come from ``--trace`` plus ``repro obs summarize``; there is
+    no ``--profile`` flag and no ``--backend`` switch."""
+
+    def test_metrics_profile_table(self, trace_path, tmp_path, capsys):
+        out = tmp_path / "run.trace.jsonl"
+        args = [
+            "metrics", trace_path, "--interval", "30", "--path-sample", "30",
+            "--trace", str(out),
+        ]
         assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "workers: 1" in out
-        assert "cache: 0 hit(s) / 0 miss(es)" in out
-        assert "mean ms" in out
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert "mean ms" in summary
+        for name in ("average_degree", "average_path_length", "assortativity"):
+            assert f"metric.{name}" in summary
 
     def test_metrics_profile_counts_cache_hits(self, trace_path, tmp_path, capsys):
         args = [
             "metrics", trace_path, "--interval", "30", "--path-sample", "30",
-            "--profile", "--cache-dir", str(tmp_path / "cache"),
+            "--cache-dir", str(tmp_path / "cache"),
         ]
-        assert main(args) == 0
-        assert "cache: 0 hit(s) / 1 miss(es)" in capsys.readouterr().out
-        assert main(args) == 0
-        assert "cache: 1 hit(s) / 0 miss(es)" in capsys.readouterr().out
+        for run in ("cold", "warm"):
+            assert main([*args, "--trace", str(tmp_path / f"{run}.jsonl")]) == 0
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(tmp_path / "cold.jsonl")]) == 0
+        cold = capsys.readouterr().out
+        assert "cache.misses" in cold and "cache.hits" not in cold
+        assert main(["obs", "summarize", str(tmp_path / "warm.jsonl")]) == 0
+        warm = capsys.readouterr().out
+        assert "cache.hits" in warm and "cache.misses" not in warm
 
-    def test_metrics_json_includes_profile(self, trace_path, capsys):
+    def test_metrics_json_has_only_times_and_values(self, trace_path, capsys):
         import json
 
-        args = [
-            "metrics", trace_path, "--interval", "30", "--path-sample", "30",
-            "--json", "--profile",
-        ]
+        args = ["metrics", trace_path, "--interval", "30", "--path-sample", "30", "--json"]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"times", "values", "profile"}
-        assert payload["profile"]["workers"] == 1
+        assert set(payload) == {"times", "values"}
         assert len(payload["times"]) > 0
-        seconds = payload["profile"]["metric_seconds"]["average_path_length"]
-        assert len(seconds) == len(payload["times"])
+        assert len(payload["values"]["average_path_length"]) == len(payload["times"])
 
     @pytest.mark.parametrize("command", ["metrics", "communities", "experiment"])
     def test_backend_flag_removed(self, command, capsys):
@@ -119,15 +128,28 @@ class TestProfileAndBackend:
             main([command, "x", "--backend", "csr"])
         assert excinfo.value.code == 2
 
-    def test_experiment_profile(self, capsys):
+    @pytest.mark.parametrize("command", ["metrics", "experiment"])
+    def test_profile_flag_removed(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert "--profile" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "x", "--profile"])
+        assert excinfo.value.code == 2
+
+    def test_experiment_profile(self, tmp_path, capsys):
+        out = tmp_path / "f1d.trace.jsonl"
         code = main([
             "experiment", "F1d", "--preset", "tiny",
-            "--seed", "3", "--nodes", "300", "--days", "40", "--profile",
+            "--seed", "3", "--nodes", "300", "--days", "40", "--trace", str(out),
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "workers:" in out
-        assert "mean ms" in out
+        capsys.readouterr()
+        assert main(["obs", "summarize", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert "experiment.F1d" in summary
+        assert "metric.average_degree" in summary
 
 
 class TestObsCommand:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gen.pools import BucketPools, GrowingArray, SortedKeySet, pack_edge_keys
+from repro.gen.pools import BucketPools, GrowingArray, HashKeySet, pack_edge_keys
 from repro.util.rng import make_rng
 
 
@@ -87,25 +87,35 @@ def test_bucket_pools_compaction_keeps_contents():
 
 
 def test_sorted_key_set_matches_python_set():
+    # HashKeySet is the edge-key set gen.fast drops duplicate edges with.
+    # A small initial capacity makes ``_grow`` run several times, and ids
+    # near 2**32 make packed keys wrap negative.
     rng = make_rng(11)
-    keys = rng.choice(100_000, size=5000, replace=False).astype(np.int64)
-    sks = SortedKeySet(merge_min=64)
+    us = rng.integers(0, 1 << 32, size=6000)
+    vs = rng.integers(0, 1 << 32, size=6000)
+    keys = np.unique(pack_edge_keys(us, vs))
+    keys = rng.permutation(keys[keys != 0])
+    assert (keys < 0).any() and (keys > 0).any()
+    hks = HashKeySet(capacity=16)
     members: set[int] = set()
     for start in range(0, len(keys), 333):
         batch = keys[start : start + 333]
-        probe = rng.integers(0, 100_000, size=500).astype(np.int64)
+        fresh = pack_edge_keys(
+            rng.integers(0, 1 << 32, size=250), rng.integers(0, 1 << 32, size=250)
+        )
+        probe = np.concatenate((fresh[fresh != 0], rng.choice(keys, size=250)))
         want = np.array([int(k) in members for k in probe.tolist()])
-        assert np.array_equal(sks.contains(probe), want)
-        sks.add(batch)
+        assert np.array_equal(hks.contains(probe), want)
+        hks.add(batch)
         members.update(batch.tolist())
-    assert len(sks) == len(members)
-    assert sks.contains(keys).all()
+    assert len(hks) == len(members)
+    assert hks.contains(keys).all()
 
 
 def test_sorted_key_set_empty():
-    sks = SortedKeySet()
-    assert not sks.contains(np.array([1, 2, 3], dtype=np.int64)).any()
-    assert len(sks) == 0
+    hks = HashKeySet()
+    assert not hks.contains(np.array([1, -2, 3], dtype=np.int64)).any()
+    assert len(hks) == 0
 
 
 def test_pack_edge_keys_symmetric_and_unique():

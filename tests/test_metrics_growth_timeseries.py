@@ -1,11 +1,13 @@
-"""Tests for repro.metrics.growth and repro.metrics.timeseries."""
+"""Tests for repro.metrics.growth and the metric timeseries."""
+
+import bisect
 
 import numpy as np
 import pytest
 
 from repro.graph.events import EdgeArrival, EventStream, NodeArrival
 from repro.metrics.growth import daily_growth
-from repro.metrics.timeseries import compute_metric_timeseries, standard_metrics
+from repro.runtime import MetricSpec, compute_timeseries
 
 
 def small_stream() -> EventStream:
@@ -50,8 +52,8 @@ class TestDailyGrowth:
 
 class TestMetricTimeseries:
     def test_names_and_lengths(self, tiny_stream):
-        metrics = standard_metrics(path_sample=30, clustering_sample=100, seed=0)
-        ts = compute_metric_timeseries(tiny_stream, metrics, interval=15.0)
+        spec = MetricSpec(path_sample=30, clustering_sample=100, seed=0)
+        ts = compute_timeseries(tiny_stream, spec, interval=15.0)
         times, values = ts.as_arrays()
         assert set(values) == {
             "average_degree",
@@ -63,11 +65,18 @@ class TestMetricTimeseries:
             assert series.size == times.size
 
     def test_times_increasing(self, tiny_stream):
-        ts = compute_metric_timeseries(tiny_stream, {"deg": lambda g: g.num_edges}, interval=10.0)
+        ts = compute_timeseries(tiny_stream, MetricSpec(names=("average_degree",)), interval=10.0)
         assert ts.times == sorted(ts.times)
 
     def test_edge_count_monotone(self, tiny_stream):
-        ts = compute_metric_timeseries(tiny_stream, {"edges": lambda g: g.num_edges}, interval=10.0)
-        series = ts.values["edges"]
+        # Each snapshot holds exactly the events up to its time: the edge
+        # count recovered from the average degree (2E / N) matches.
+        ts = compute_timeseries(tiny_stream, MetricSpec(names=("average_degree",)), interval=10.0)
+        node_times, edge_times = tiny_stream.node_times(), tiny_stream.edge_times()
+        series = [
+            round(degree * bisect.bisect_right(node_times, t) / 2)
+            for t, degree in zip(ts.times, ts.values["average_degree"], strict=True)
+        ]
+        assert series == [bisect.bisect_right(edge_times, t) for t in ts.times]
         assert series == sorted(series)
         assert series[-1] == tiny_stream.num_edges

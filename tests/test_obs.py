@@ -12,7 +12,6 @@ from repro.obs import (
     aggregate,
     get_recorder,
     read_jsonl,
-    render_profile,
     render_trace,
     set_recorder,
     span_tree,
@@ -211,31 +210,3 @@ class TestSummary:
         assert "kernels.bfs_sources" in text
         assert "main" in text
         assert "peak MB" in text
-
-    def test_render_profile_keeps_historic_header(self):
-        profile = {
-            "workers": 2,
-            "cache_hits": 1,
-            "cache_misses": 0,
-            "metric_seconds": {"average_degree": [0.001, 0.002]},
-        }
-        text = render_profile(profile)
-        assert "workers: 2" in text
-        assert "cache: 1 hit(s) / 0 miss(es)" in text
-        assert "mean ms" in text
-
-    def test_render_profile_appends_worker_detail(self):
-        profile = {
-            "workers": 2,
-            "metric_seconds": {},
-            "worker_detail": [
-                {"worker": 0, "label": "main", "snapshots": 0, "seconds": 0.0,
-                 "cache_hits": 1, "cache_misses": 2},
-                {"worker": 1, "label": "worker-1", "snapshots": 4, "seconds": 0.5,
-                 "cache_hits": 0, "cache_misses": 0},
-            ],
-        }
-        text = render_profile(profile)
-        assert "worker-1" in text
-        assert "cache h/m" in text
-        assert "1/2" in text

@@ -11,10 +11,17 @@ import json
 
 import pytest
 
-from repro.cli import _emit_profile, main
+from repro.cli import main
 from repro.graph.stream_io import write_event_stream
-from repro.obs import NULL_RECORDER, TraceRecorder, get_recorder, span_tree, use_recorder
-from repro.runtime import MetricSpec, compute_timeseries
+from repro.obs import (
+    NULL_RECORDER,
+    TraceRecorder,
+    get_recorder,
+    lane_summary,
+    span_tree,
+    use_recorder,
+)
+from repro.runtime import TIMESERIES, MetricSpec, ResultCache, compute_timeseries
 
 SPEC = MetricSpec(path_sample=30, clustering_sample=50, seed=0)
 
@@ -28,7 +35,7 @@ def traced_run(stream, workers=1, cache_dir=None, store=None):
             SPEC,
             interval=15.0,
             workers=workers,
-            cache_dir=cache_dir,
+            cache=ResultCache(cache_dir, TIMESERIES) if cache_dir is not None else None,
         )
     assert get_recorder() is NULL_RECORDER
     return series, recorder.to_payload()
@@ -117,31 +124,38 @@ class TestTraceCoverage:
 
 
 class TestWorkerDetailProfile:
+    """Per-worker attribution comes from the trace's lanes and counters."""
+
     def test_serial_profile_attributes_all_snapshots_to_main(self, tiny_stream):
-        series = compute_timeseries(tiny_stream, SPEC, interval=15.0)
-        detail = series.profile["worker_detail"]
-        assert [row["worker"] for row in detail] == [0]
-        assert detail[0]["label"] == "main"
-        assert detail[0]["snapshots"] == len(series.times)
+        series, payload = traced_run(tiny_stream)
+        assert [(row["lane"], row["label"]) for row in lane_summary(payload)] == [(0, "main")]
+        counters = payload["lanes"][0]["counters"]
+        assert counters["runtime.snapshots"] == len(series.times)
+        names = [span["name"] for span in payload["lanes"][0]["spans"]]
+        for metric in SPEC.names:
+            assert names.count(f"metric.{metric}") == len(series.times)
 
     def test_parallel_profile_has_one_row_per_worker(self, tiny_stream):
-        series = compute_timeseries(tiny_stream, SPEC, interval=15.0, workers=3)
-        detail = series.profile["worker_detail"]
-        assert [row["worker"] for row in detail] == [0, 1, 2, 3]
-        assert sum(row["snapshots"] for row in detail) == len(series.times)
-        assert all(row["seconds"] >= 0.0 for row in detail)
+        series, payload = traced_run(tiny_stream, workers=3)
+        rows = lane_summary(payload)
+        assert [row["lane"] for row in rows] == [0, 1, 2, 3]
+        assert all(row["total_s"] >= 0.0 for row in rows)
+        evaluated = sum(
+            lane["counters"].get("runtime.snapshots", 0) for lane in payload["lanes"]
+        )
+        assert evaluated == len(series.times)
+        assert "runtime.snapshots" not in payload["lanes"][0]["counters"]
 
     def test_cache_traffic_lands_on_main_row(self, tiny_stream, tmp_path):
         cache_dir = tmp_path / "cache"
-        compute_timeseries(tiny_stream, SPEC, interval=15.0, cache_dir=cache_dir)
-        series = compute_timeseries(tiny_stream, SPEC, interval=15.0, cache_dir=cache_dir)
-        detail = series.profile["worker_detail"]
-        main_row = detail[0]
-        assert main_row["worker"] == 0
-        assert main_row["cache_hits"] == 1
-        assert main_row["cache_misses"] == 0
+        traced_run(tiny_stream, cache_dir=cache_dir)
+        _, payload = traced_run(tiny_stream, cache_dir=cache_dir)
+        (main_lane,) = payload["lanes"]
+        assert main_lane["lane"] == 0
+        assert main_lane["counters"]["cache.hits"] == 1
+        assert "cache.misses" not in main_lane["counters"]
         # A pure cache hit evaluated nothing.
-        assert main_row["snapshots"] == 0
+        assert "runtime.snapshots" not in main_lane["counters"]
 
 
 @pytest.fixture()
@@ -196,13 +210,12 @@ class TestCLITraceRoundTrip:
         out = tmp_path / "run.trace.jsonl"
         args = [
             "metrics", trace_path, "--interval", "30", "--path-sample", "30",
-            "--json", "--profile", "--trace", str(out),
+            "--json", "--trace", str(out),
         ]
         assert main(args) == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)  # would fail if the note hit stdout
-        assert set(payload) == {"times", "values", "profile"}
-        assert payload["profile"]["worker_detail"][0]["worker"] == 0
+        assert set(payload) == {"times", "values"}
 
     def test_traced_values_match_untraced_cli_run(self, trace_path, tmp_path, capsys):
         base = ["metrics", trace_path, "--interval", "30", "--path-sample", "30"]
@@ -226,8 +239,30 @@ class TestCLITraceRoundTrip:
         assert exc.value.code == 2
         assert "invalid choice: 'trace'" in capsys.readouterr().err
 
-    def test_unavailable_profile_goes_to_stderr(self, capsys):
-        _emit_profile(None)
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unavailable" in captured.err
+
+def root_coverage(payload):
+    """Share of the lane-0 span extent that the union of root spans covers."""
+    spans = [span for lane in payload["lanes"] if lane["lane"] == 0 for span in lane["spans"]]
+    extent = max(s["start"] + s["duration"] for s in spans) - min(s["start"] for s in spans)
+    covered, reach = 0.0, float("-inf")
+    for start, end in sorted(
+        (s["start"], s["start"] + s["duration"]) for s in spans if not s["parent"]
+    ):
+        covered += max(0.0, end - max(start, reach))
+        reach = max(reach, end)
+    return covered / extent
+
+
+class TestExperimentTraceCoverage:
+    def test_root_spans_cover_experiment_trace(self, tmp_path, capsys):
+        # Every second of a traced experiment sits under a root span: the
+        # experiment's own span parents the figure code's kernel calls.
+        from repro.obs import read_jsonl
+
+        out = tmp_path / "f4a.trace.jsonl"
+        args = ["experiment", "F4a", "--preset", "tiny_merge", "--trace", str(out)]
+        assert main(args) == 0
+        capsys.readouterr()
+        payload = read_jsonl(out)
+        assert root_coverage(payload) >= 0.95
+

@@ -1,20 +1,23 @@
 """Tests for repro.runtime: spec seeding, parallel determinism, result cache."""
 
+import contextlib
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.metrics.timeseries import compute_metric_timeseries
+from repro.graph.dynamic import snapshot_times
+from repro.obs import TraceRecorder, use_recorder
 from repro.runtime import (
+    TIMESERIES,
     MetricSpec,
     ResultCache,
     compute_timeseries,
     evaluate_timeseries,
-    snapshot_times,
     stream_digest,
 )
-from repro.runtime.cache import TIMESERIES, timeseries_key
+from repro.runtime.cache import timeseries_key
+from repro.store import EventStore, write_store
 
 # Small sampling knobs keep each evaluation fast; the suite runs several.
 SPEC = MetricSpec(path_sample=20, clustering_sample=60, seed=3)
@@ -87,14 +90,8 @@ class TestParallelDeterminism:
 
     def test_timeseries_facade_accepts_spec(self, tiny_stream):
         direct = evaluate_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=1)
-        via_facade = compute_metric_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=2)
+        via_facade = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=2)
         assert_series_identical(direct, via_facade)
-
-    def test_facade_rejects_workers_with_callables(self, tiny_stream):
-        with pytest.raises(ValueError, match="MetricSpec"):
-            compute_metric_timeseries(
-                tiny_stream, {"edges": lambda g: float(g.num_edges)}, workers=2
-            )
 
 
 class TestStartMethodContract:
@@ -117,43 +114,62 @@ class TestStartMethodContract:
         )
         assert parallel._mp_context().get_start_method() == "spawn"
 
-    def test_spawn_pool_matches_serial(self, tiny_stream, monkeypatch):
-        # Under spawn everything crosses the boundary by pickle (the
-        # WORKER_MANIFEST payloads) instead of fork's copy-on-write pages;
-        # results must stay bit-identical to the serial path.
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("source", ["stream", "store"])
+    def test_spawn_pool_matches_serial(self, tiny_stream, tmp_path, monkeypatch, source, traced):
+        # Under spawn the initializer's arguments (the WORKER_MANIFEST
+        # payloads) cross the boundary by pickle instead of fork's
+        # inheritance; results must stay bit-identical to the serial path
+        # for both sources, with tracing on or off.
         from repro.runtime import parallel
 
         monkeypatch.setattr(
             parallel, "_mp_context", lambda: multiprocessing.get_context("spawn")
         )
+        store = None
+        if source == "store":
+            write_store(tiny_stream, tmp_path / "t.store", chunk_events=173)
+            store = EventStore(tmp_path / "t.store")
         serial = evaluate_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=1)
-        spawned = evaluate_timeseries(tiny_stream, SPEC, interval=INTERVAL, workers=2)
+        recorder = TraceRecorder() if traced else None
+        with use_recorder(recorder) if recorder is not None else contextlib.nullcontext():
+            spawned = evaluate_timeseries(
+                tiny_stream, SPEC, interval=INTERVAL, workers=2, store=store
+            )
         assert_series_identical(serial, spawned)
+        if recorder is not None:
+            lanes = {lane["label"] for lane in recorder.to_payload()["lanes"]}
+            assert lanes == {"main", "worker-1", "worker-2"}
+
+
+def cached_run(stream, root):
+    """One ``compute_timeseries`` run against a fresh cache handle on ``root``."""
+    cache = ResultCache(root, TIMESERIES)
+    return compute_timeseries(stream, SPEC, interval=INTERVAL, cache=cache), cache
 
 
 class TestResultCache:
     def test_second_run_served_from_cache_with_identical_arrays(self, tiny_stream, tmp_path):
-        cold = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, cache_dir=tmp_path)
+        cold, cold_cache = cached_run(tiny_stream, tmp_path)
+        assert (cold_cache.hits, cold_cache.misses) == (0, 1)
         entries = list(tmp_path.glob("*.npz"))
         assert len(entries) == 1
-        # Poison the evaluator: a cache hit must not replay at all.
-        warm = compute_timeseries(
-            tiny_stream.__class__(nodes=tiny_stream.nodes, edges=tiny_stream.edges),
-            SPEC,
-            interval=INTERVAL,
-            cache_dir=tmp_path,
+        # An equal-content copy of the stream hits the same entry.
+        warm, warm_cache = cached_run(
+            tiny_stream.__class__(nodes=tiny_stream.nodes, edges=tiny_stream.edges), tmp_path
         )
+        assert (warm_cache.hits, warm_cache.misses) == (1, 0)
         assert_series_identical(cold, warm)
         assert list(tmp_path.glob("*.npz")) == entries
 
     def test_cache_hit_skips_evaluation(self, tiny_stream, tmp_path, monkeypatch):
-        compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, cache_dir=tmp_path)
+        cached_run(tiny_stream, tmp_path)
 
         def boom(*args, **kwargs):
             raise AssertionError("cache hit should not re-evaluate")
 
         monkeypatch.setattr("repro.runtime.api.evaluate_timeseries", boom)
-        warm = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, cache_dir=tmp_path)
+        warm, _ = cached_run(tiny_stream, tmp_path)
         assert len(warm.times) > 0
 
     def test_key_changes_with_inputs(self, tiny_stream):
@@ -193,11 +209,11 @@ class TestResultCache:
         assert ResultCache(tmp_path, TIMESERIES).load("f" * 64) is None
 
     def test_corrupt_entry_treated_as_miss(self, tiny_stream, tmp_path):
-        cold = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, cache_dir=tmp_path)
+        cold, _ = cached_run(tiny_stream, tmp_path)
         (entry,) = tmp_path.glob("*.npz")
         entry.write_text("not an npz file")
         assert ResultCache(tmp_path, TIMESERIES).load(entry.stem) is None
-        recovered = compute_timeseries(tiny_stream, SPEC, interval=INTERVAL, cache_dir=tmp_path)
+        recovered, _ = cached_run(tiny_stream, tmp_path)
         assert_series_identical(cold, recovered)
 
 

@@ -233,6 +233,29 @@ class TestServerEndToEnd:
         # The repeat was answered from the worker-side memo, not recomputed.
         assert stats["cache"].get("/metrics:memo", 0) >= 1
 
+    def test_metrics_cache_status_per_request(self, tiny_store, tmp_path):
+        # A hit on one query must not make a later cold query read as a
+        # hit: each /metrics request reports its own cache outcome.
+        config = ServeConfig(store_path=str(tiny_store), cache_dir=str(tmp_path / "c"))
+
+        async def run(targets):
+            server = ReproServer(config)
+            host, port = await server.start()
+            try:
+                for target in targets:
+                    assert (await _fetch(host, port, target))[0] == 200
+                return json.loads((await _fetch(host, port, "/stats"))[1])
+            finally:
+                await server.stop()
+
+        asyncio.run(run(["/metrics?interval=20"]))
+        stats = asyncio.run(run(["/metrics?interval=20", "/metrics?interval=25"]))
+        totals = {
+            status: sum(shard["cache"][status] for shard in stats["shards"])
+            for status in ("hit", "miss")
+        }
+        assert totals == {"hit": 1, "miss": 1}
+
     def test_error_envelopes(self, tiny_store, tmp_path):
         responses = _serve_and_fetch(
             ServeConfig(store_path=str(tiny_store), cache_dir=None),

@@ -213,6 +213,14 @@ class TestScans:
         assert sub.nodes == stream.nodes
         assert sub.edges == stream.edges[2:]
 
+    @pytest.mark.parametrize("bounds", [(5, 250, 10, 333), (0, 99999, 2, 99999), (0, 0, 7, 3)])
+    def test_stream_slice_events_matches_store(self, tmp_path, tiny_stream, bounds):
+        write_store(tiny_stream, tmp_path / "s.store", chunk_events=100)
+        from_store = EventStore(tmp_path / "s.store").slice_events(*bounds)
+        from_stream = tiny_stream.slice_events(*bounds)
+        assert from_stream.nodes == from_store.nodes
+        assert from_stream.edges == from_store.edges
+
     def test_index_at_matches_dynamic_graph_cursors(self, tmp_path, tiny_stream):
         from repro.graph.dynamic import DynamicGraph
 

@@ -4,7 +4,13 @@ import pytest
 
 from repro.cli import main
 from repro.graph.stream_io import write_event_stream
-from repro.runtime import MetricSpec, compute_timeseries, evaluate_timeseries
+from repro.runtime import (
+    TIMESERIES,
+    MetricSpec,
+    ResultCache,
+    compute_timeseries,
+    evaluate_timeseries,
+)
 from repro.runtime.cache import stream_digest, timeseries_key
 from repro.store import EventStore, write_store
 
@@ -49,19 +55,19 @@ class TestParallelStoreWindows:
 
 class TestCacheParity:
     def test_tsv_run_seeds_cache_for_store_run(self, tmp_path, store, tiny_stream, spec):
-        cache_dir = tmp_path / "cache"
-        first = compute_timeseries(tiny_stream, spec, interval=15.0, cache_dir=cache_dir)
-        assert first.profile["cache_hits"] == 0
-        second = compute_timeseries(store, spec, interval=15.0, cache_dir=cache_dir)
-        assert second.profile["cache_hits"] == 1
+        cache = ResultCache(tmp_path / "cache", TIMESERIES)
+        first = compute_timeseries(tiny_stream, spec, interval=15.0, cache=cache)
+        assert cache.hits == 0
+        second = compute_timeseries(store, spec, interval=15.0, cache=cache)
+        assert cache.hits == 1
         assert second.values == first.values
 
     def test_store_run_seeds_cache_for_tsv_run(self, tmp_path, store, tiny_stream, spec):
-        cache_dir = tmp_path / "cache"
-        first = compute_timeseries(store, spec, interval=15.0, workers=2, cache_dir=cache_dir)
-        assert first.profile["cache_hits"] == 0
-        second = compute_timeseries(tiny_stream, spec, interval=15.0, cache_dir=cache_dir)
-        assert second.profile["cache_hits"] == 1
+        cache = ResultCache(tmp_path / "cache", TIMESERIES)
+        first = compute_timeseries(store, spec, interval=15.0, workers=2, cache=cache)
+        assert cache.hits == 0
+        second = compute_timeseries(tiny_stream, spec, interval=15.0, cache=cache)
+        assert cache.hits == 1
         assert second.values == first.values
 
     def test_cache_keys_are_identical(self, store, tiny_stream, spec):
@@ -70,10 +76,8 @@ class TestCacheParity:
         )
 
     def test_facade_passes_store_through(self, store, tiny_stream, spec):
-        from repro.metrics.timeseries import compute_metric_timeseries
-
-        via_store = compute_metric_timeseries(store, spec, interval=15.0)
-        via_stream = compute_metric_timeseries(tiny_stream, spec, interval=15.0)
+        via_store = compute_timeseries(store, spec, interval=15.0)
+        via_stream = compute_timeseries(tiny_stream, spec, interval=15.0)
         assert via_store.values == via_stream.values
 
 
