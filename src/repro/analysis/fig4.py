@@ -1,8 +1,9 @@
 """Figure 4 drivers: community tracking and the δ sensitivity sweep.
 
-The sweep re-runs incremental Louvain tracking at several δ thresholds;
-to keep the sweep affordable it uses a coarser snapshot cadence than the
-main tracking run (the conclusions — modularity ≥ 0.4, robustness for
+The sweep runs incremental Louvain tracking at several δ thresholds over
+one shared replay (:func:`~repro.community.tracking.track_deltas`); to
+keep it affordable it uses a coarser snapshot cadence than the main
+tracking run (the conclusions — modularity ≥ 0.4, robustness for
 δ ≥ 0.01 — are cadence-insensitive).
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 from repro.analysis.context import AnalysisContext
 from repro.analysis.experiments import ExperimentResult, finite, register, series_from
 from repro.community.stats import community_size_distribution
-from repro.community.tracking import CommunityTracker, track_stream
+from repro.community.tracking import CommunityTracker, track_deltas
 
 __all__ = ["DELTA_SWEEP"]
 
@@ -27,10 +28,7 @@ def _sweep(ctx: AnalysisContext) -> dict[float, CommunityTracker]:
     cached = getattr(ctx, "_fig4_delta_sweep", None)
     if cached is None:
         interval = max(ctx.tracking_interval, ctx.config.days / 14.0)
-        cached = {
-            delta: track_stream(ctx.stream, interval=interval, delta=delta, seed=ctx.seed)
-            for delta in DELTA_SWEEP
-        }
+        cached = track_deltas(ctx.stream, DELTA_SWEEP, interval=interval, seed=ctx.seed)
         ctx._fig4_delta_sweep = cached
     return cached
 

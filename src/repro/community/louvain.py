@@ -75,14 +75,11 @@ def louvain(
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     rng = make_rng(seed)
-    partition, levels = louvain_csr(
-        csr if csr is not None else CSRGraph.from_snapshot(graph),
-        delta,
-        seed_partition,
-        rng,
-    )
+    if csr is None:
+        csr = CSRGraph.from_snapshot(graph)
+    partition, levels = louvain_csr(csr, delta, seed_partition, rng)
     return LouvainResult(
         partition=partition,
-        modularity=modularity(graph, partition),
+        modularity=modularity(graph, partition, csr=csr),
         levels=levels,
     )

@@ -17,9 +17,20 @@ similarity, following [Greene et al. 2010] as modified by the paper:
 
 The tracker also records, per merge, whether the absorbing community was
 the one with the most edges to the dying community in the previous
-snapshot (the "strongest tie" analysis of Figure 6c), and per snapshot the
-structural state of every tracked community (feeding Figure 6b's merge
+snapshot (the "strongest tie" analysis of Figure 6c; equal edge counts go
+to the smallest lineage id, the rule the matcher uses), and per snapshot
+the structural state of every tracked community (feeding Figure 6b's merge
 predictor).
+
+Every step works on one immutable :class:`~repro.kernels.csr.CSRGraph`
+per snapshot: Louvain runs on it, modularity and each community's
+internal-edge and degree sums are bincounts over its arrays
+(:func:`~repro.community.modularity.community_edge_stats`), and the
+previous step's CSR is all the strongest-tie count reads, so no snapshot
+is ever copied.  :func:`track_deltas` runs several δ thresholds over one
+replay, building each snapshot's CSR once and handing it to every δ's
+tracker; each tracker keeps its own seeded RNG, so every δ gets exactly
+what a separate :func:`track_stream` run would give.
 """
 
 from __future__ import annotations
@@ -31,10 +42,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.community.louvain import louvain
-from repro.graph.dynamic import DynamicGraph
+from repro.community.modularity import community_edge_stats
+from repro.graph.dynamic import DynamicGraph, snapshot_times
 from repro.graph.events import EventStream
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph, gather_neighbors
 from repro.kernels.matching import match_communities_csr
+from repro.obs import get_recorder
+from repro.util.arrays import IntArray
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -44,6 +59,7 @@ __all__ = [
     "CommunityLineage",
     "TrackedSnapshot",
     "CommunityTracker",
+    "track_deltas",
     "track_stream",
 ]
 
@@ -157,7 +173,7 @@ class CommunityTracker:
         self._rng = make_rng(seed)
         self._prev_partition: dict[int, int] | None = None
         self._prev_states: dict[int, CommunityState] = {}
-        self._prev_graph: GraphSnapshot | None = None
+        self._prev_csr: CSRGraph | None = None
         self._next_lineage = 0
         self.lineages: dict[int, CommunityLineage] = {}
         self.events: list[CommunityEvent] = []
@@ -165,13 +181,24 @@ class CommunityTracker:
 
     # -- public API -----------------------------------------------------
 
-    def step(self, time: float, graph: GraphSnapshot) -> TrackedSnapshot:
-        """Process the next snapshot and return its tracked view."""
+    def step(
+        self, time: float, graph: GraphSnapshot, csr: CSRGraph | None = None
+    ) -> TrackedSnapshot:
+        """Process the next snapshot and return its tracked view.
+
+        ``csr`` optionally reuses a prebuilt
+        :class:`~repro.kernels.csr.CSRGraph` of ``graph``; the tracker
+        keeps it (never ``graph``, which may be a live replay view) as the
+        previous snapshot.
+        """
+        if csr is None:
+            csr = CSRGraph.from_snapshot(graph)
         result = louvain(
             graph,
             delta=self.delta,
             seed_partition=self._prev_partition,
             seed=self._rng,
+            csr=csr,
         )
         # Label-sorted: iteration order over ``raw`` decides birth lineage
         # numbering and tie-breaks downstream, and label values (unlike dict
@@ -182,7 +209,9 @@ class CommunityTracker:
                 result.communities(self.min_size).items(), key=lambda item: item[0]
             )
         }
-        assigned, similarities = self._match(time, graph, raw)
+        assigned, similarities = self._match(
+            time, raw, community_edge_stats(csr, result.partition)
+        )
         avg_sim = float(np.mean(similarities)) if similarities else float("nan")
         snapshot = TrackedSnapshot(
             time=time,
@@ -194,7 +223,7 @@ class CommunityTracker:
         self.snapshots.append(snapshot)
         self._prev_partition = result.partition
         self._prev_states = assigned
-        self._prev_graph = graph.copy()
+        self._prev_csr = csr
         return snapshot
 
     # -- matching core ----------------------------------------------------
@@ -202,8 +231,8 @@ class CommunityTracker:
     def _match(
         self,
         time: float,
-        graph: GraphSnapshot,
         raw: Mapping[int, frozenset[int]],
+        stats: Mapping[int, tuple[int, int]],
     ) -> tuple[dict[int, CommunityState], list[float]]:
         prev_states = self._prev_states
         parent, overlaps = match_communities_csr(
@@ -270,6 +299,8 @@ class CommunityTracker:
             else:
                 merge_groups[target].append(lin)
 
+        if merge_groups:
+            lineage_at = self._prev_lineage_at()
         for label, absorbed in merge_groups.items():
             survivor = lineage_of[label]
             group_sizes = sorted(
@@ -279,7 +310,7 @@ class CommunityTracker:
             )
             ratio = group_sizes[1] / group_sizes[0] if len(group_sizes) >= 2 else float("nan")
             for lin in absorbed:
-                tie = self._strongest_tie(prev_states[lin], survivor)
+                tie = self._strongest_tie(lin, survivor, lineage_at)
                 self._record_death(lin, time, "merge")
                 self.events.append(
                     CommunityEvent(
@@ -297,7 +328,7 @@ class CommunityTracker:
         similarities: list[float] = []
         for label, members in raw.items():
             lin = lineage_of[label]
-            internal, degree_sum = _community_edge_stats(graph, members)
+            internal, degree_sum = stats[label]
             state = CommunityState(
                 lineage=lin,
                 time=time,
@@ -335,29 +366,72 @@ class CommunityTracker:
                 best_label, best_count = label, count
         return best_label
 
-    def _strongest_tie(self, dying: CommunityState, survivor: int) -> bool | None:
-        """Whether ``survivor`` had the most edges to ``dying`` pre-merge."""
-        graph = self._prev_graph
-        if graph is None:
+    def _prev_lineage_at(self) -> IntArray:
+        """Lineage id per position of the previous snapshot's CSR (-1: untracked)."""
+        csr = self._prev_csr
+        assert csr is not None  # set by the step that produced _prev_states
+        lineage_at = np.full(csr.num_nodes, -1, dtype=np.int64)
+        for lin, state in self._prev_states.items():
+            members = np.array(sorted(state.members), dtype=np.int64)
+            lineage_at[csr.positions_of(members)] = lin
+        return lineage_at
+
+    def _strongest_tie(self, dying: int, survivor: int, lineage_at: IntArray) -> bool | None:
+        """Whether ``survivor`` had the most edges to ``dying`` pre-merge.
+
+        Counts the previous snapshot's edges from ``dying``'s members to
+        every other tracked lineage (``lineage_at`` from
+        :meth:`_prev_lineage_at`); equal counts go to the smallest
+        lineage id.  ``None`` when ``dying`` had no such edges.
+        """
+        csr = self._prev_csr
+        assert csr is not None
+        members = np.flatnonzero(lineage_at == dying)
+        neighbor_lineages = lineage_at[gather_neighbors(csr.indptr, csr.indices, members)]
+        ties = neighbor_lineages[(neighbor_lineages >= 0) & (neighbor_lineages != dying)]
+        if ties.size == 0:
             return None
-        node_lineage = {
-            node: st.lineage for st in self._prev_states.values() for node in st.members
-        }
-        ties: Counter = Counter()
-        for node in dying.members:
-            for nbr in graph.adjacency.get(node, ()):
-                lin = node_lineage.get(nbr)
-                if lin is not None and lin != dying.lineage:
-                    ties[lin] += 1
-        if not ties:
-            return None
-        strongest, _ = ties.most_common(1)[0]
-        return strongest == survivor
+        # argmax returns the first maximum: the smallest lineage id.
+        return int(np.argmax(np.bincount(ties))) == survivor
 
     def _record_death(self, lineage: int, time: float, reason: str) -> None:
         record = self.lineages[lineage]
         record.death_time = time
         record.death_reason = reason
+
+
+def track_deltas(
+    stream: EventStream,
+    deltas: Iterable[float],
+    interval: float = 3.0,
+    start: float | None = None,
+    min_size: int = 10,
+    min_nodes: int = 64,
+    seed: int = 0,
+) -> dict[float, CommunityTracker]:
+    """Track communities over ``stream`` once per δ in ``deltas``, in one replay.
+
+    The stream is replayed once and each snapshot is frozen into one
+    :class:`~repro.kernels.csr.CSRGraph`, shared by every δ's tracker.
+    Each tracker owns an RNG seeded with ``seed``, so the tracker for δ
+    equals ``track_stream(stream, ..., delta=δ, seed=seed)``.
+    """
+    trackers = {
+        delta: CommunityTracker(delta=delta, min_size=min_size, seed=seed) for delta in deltas
+    }
+    rec = get_recorder()
+    replay = DynamicGraph(stream)
+    for index, time in enumerate(snapshot_times(stream.end_time, interval, start)):
+        with rec.span("replay.advance", snapshot=index):
+            view = replay.advance_to(time)
+        if view.graph.num_nodes < min_nodes:
+            continue
+        with rec.span("kernels.csr_build", snapshot=index):
+            csr = CSRGraph.from_snapshot(view.graph)
+        for delta, tracker in trackers.items():
+            with rec.span("community.step", delta=delta, snapshot=index):
+                tracker.step(time, view.graph, csr=csr)
+    return trackers
 
 
 def track_stream(
@@ -375,26 +449,13 @@ def track_stream(
     has at least ``min_nodes`` nodes (the paper starts at day 20 / 64
     nodes), considering only communities larger than ``min_size``.
     """
-    tracker = CommunityTracker(delta=delta, min_size=min_size, seed=seed)
-    replay = DynamicGraph(stream)
-    for view in replay.snapshots(interval=interval, start=start):
-        if view.graph.num_nodes < min_nodes:
-            continue
-        tracker.step(view.time, view.graph)
-    return tracker
-
-
-def _community_edge_stats(graph: GraphSnapshot, members: Iterable[int]) -> tuple[int, int]:
-    """(internal edge count, total degree sum) for a member set."""
-    member_set = set(members)
-    internal2 = 0
-    degree_sum = 0
-    # Pure integer counting over both loops: totals are independent of
-    # the sets' iteration order, so sorting would only add cost.
-    for node in member_set:  # repro: noqa[RPL001] -- int counting, order-free
-        neighbors = graph.adjacency[node]
-        degree_sum += len(neighbors)
-        internal2 += sum(  # repro: noqa[RPL003] -- int sum, order-free
-            1 for nbr in neighbors if nbr in member_set  # repro: noqa[RPL001] -- int count
-        )
-    return internal2 // 2, degree_sum
+    trackers = track_deltas(
+        stream,
+        (delta,),
+        interval=interval,
+        start=start,
+        min_size=min_size,
+        min_nodes=min_nodes,
+        seed=seed,
+    )
+    return trackers[delta]

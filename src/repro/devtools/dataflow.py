@@ -15,6 +15,10 @@ Two analyses live here:
   names to the expressions assigned to them, used by the parallel-safety
   rules to resolve what actually reaches a process pool.
 
+Module-wide facts every rule family asks for — import aliases, function
+scopes, attribute names — come from one :class:`ModuleIndex` per tree,
+built in a single ``ast.walk`` and memoized (:func:`module_index`).
+
 Dtypes are canonical numpy names (``"uint16"``, ``"int64"``, ...) plus
 the pseudo-dtypes ``"pyint"``/``"pyfloat"``/``"pybool"`` for plain Python
 scalars, which have arbitrary precision and therefore never overflow.
@@ -23,20 +27,25 @@ scalars, which have arbitrary precision and therefore never overflow.
 from __future__ import annotations
 
 import ast
+import functools
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 __all__ = [
     "DtypeEnv",
     "Guard",
+    "ModuleIndex",
     "alias_summaries",
     "collect_guards",
     "dtype_from_node",
+    "from_imports",
     "guarded",
     "is_64bit",
     "is_narrow_int",
     "is_numpy_int",
     "itemsize",
     "module_aliases",
+    "module_index",
     "name_bindings",
     "names_in",
     "numpy_aliases",
@@ -105,15 +114,62 @@ def _parse_dtype_string(text: str) -> str | None:
 # -- module-level context ----------------------------------------------
 
 
+@dataclass(frozen=True)
+class ModuleIndex:
+    """Module-wide facts from one ``ast.walk`` of a module tree.
+
+    ``imports`` maps each plainly imported module to the local names it is
+    bound to; ``from_imports`` maps each ``from M import ...`` source to
+    its ``(local, original)`` pairs in walk order; ``functions`` lists
+    every function definition in walk order; ``attributes`` holds every
+    attribute name accessed anywhere.
+    """
+
+    imports: dict[str, frozenset[str]]
+    from_imports: dict[str, tuple[tuple[str, str], ...]]
+    functions: tuple[ast.FunctionDef | ast.AsyncFunctionDef, ...]
+    attributes: frozenset[str]
+
+
+# The engine runs every file rule on one module before the next, so a
+# one-entry cache gives each module one index shared by all rule families.
+@functools.lru_cache(maxsize=1)
+def module_index(tree: ast.Module) -> ModuleIndex:
+    """The :class:`ModuleIndex` of ``tree`` (memoized for the last tree)."""
+    imports: dict[str, set[str]] = {}
+    froms: dict[str, list[tuple[str, str]]] = {}
+    functions: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
+    attributes: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.append(node)
+        elif isinstance(node, ast.Import):
+            for item in node.names:
+                imports.setdefault(item.name, set()).add(
+                    item.asname or item.name.split(".")[0]
+                )
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            froms.setdefault(node.module, []).extend(
+                (item.asname or item.name, item.name) for item in node.names
+            )
+    return ModuleIndex(
+        imports={name: frozenset(local) for name, local in imports.items()},
+        from_imports={name: tuple(pairs) for name, pairs in froms.items()},
+        functions=tuple(functions),
+        attributes=frozenset(attributes),
+    )
+
+
 def module_aliases(tree: ast.Module, target: str) -> set[str]:
     """Local names bound to module ``target`` by plain imports."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.name == target:
-                    aliases.add(item.asname or item.name.split(".")[0])
-    return aliases
+    return set(module_index(tree).imports.get(target, ()))
+
+
+def from_imports(tree: ast.Module, module: str) -> dict[str, str]:
+    """``{local_name: original_name}`` for ``from module import ...``."""
+    return dict(module_index(tree).from_imports.get(module, ()))
 
 
 def numpy_aliases(tree: ast.Module) -> set[str]:
@@ -134,13 +190,11 @@ def _array_alias_names(tree: ast.Module) -> dict[str, str]:
         "UIntArray": "uint64",
         "UInt16Array": "uint16",
     }
-    names: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "repro.util.arrays":
-            for item in node.names:
-                if item.name in element:
-                    names[item.asname or item.name] = element[item.name]
-    return names
+    return {
+        local: element[original]
+        for local, original in module_index(tree).from_imports.get("repro.util.arrays", ())
+        if original in element
+    }
 
 
 def alias_summaries(tree: ast.Module) -> dict[str, str]:
@@ -155,9 +209,7 @@ def alias_summaries(tree: ast.Module) -> dict[str, str]:
     aliases = _array_alias_names(tree)
     summaries: dict[str, str] = {}
     dropped: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for node in module_index(tree).functions:
         returns = node.returns
         if isinstance(returns, ast.Name) and returns.id in aliases:
             dtype = aliases[returns.id]
@@ -215,9 +267,8 @@ def scope_bodies(
 ) -> Iterator[tuple[ast.Module | ast.FunctionDef | ast.AsyncFunctionDef, list[ast.stmt]]]:
     """Yield ``(scope_node, body)`` for the module and every function."""
     yield tree, tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, node.body
+    for node in module_index(tree).functions:
+        yield node, node.body
 
 
 def names_in(node: ast.AST) -> frozenset[str]:

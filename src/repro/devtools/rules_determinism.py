@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
+from repro.devtools.dataflow import from_imports, module_aliases, scope_bodies
 from repro.devtools.engine import FileRule, ModuleInfo
 from repro.devtools.parity import (
     ENGINE_EQUIVALENCE_COVERED,
@@ -101,27 +102,6 @@ _TIME_FUNCS = frozenset(
     }
 )
 _DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
-
-
-def _module_aliases(tree: ast.Module, target: str) -> set[str]:
-    """Local names bound to module ``target`` by plain imports."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.name == target:
-                    aliases.add(item.asname or item.name.split(".")[0])
-    return aliases
-
-
-def _from_imports(tree: ast.Module, module: str) -> dict[str, str]:
-    """``{local_name: original_name}`` for ``from module import ...``."""
-    names: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for item in node.names:
-                names[item.asname or item.name] = item.name
-    return names
 
 
 class _Scope:
@@ -243,10 +223,8 @@ def _is_adjacency_view(node: ast.expr, views: set[str]) -> bool:
 
 
 def _scopes(tree: ast.Module) -> Iterator[_Scope]:
-    yield _Scope(tree.body)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield _Scope(node.body)
+    for _node, body in scope_bodies(tree):
+        yield _Scope(body)
 
 
 class SetIterationRule(FileRule):
@@ -311,8 +289,8 @@ class GlobalRNGRule(FileRule):
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
         tree = module.tree
-        random_aliases = _module_aliases(tree, "random")
-        numpy_aliases = _module_aliases(tree, "numpy")
+        random_aliases = module_aliases(tree, "random")
+        numpy_aliases = module_aliases(tree, "numpy")
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 if node.module == "random":
@@ -419,10 +397,10 @@ class WallClockRule(FileRule):
 
     def check_module(self, module: ModuleInfo) -> Iterator[tuple[int, int, str]]:
         tree = module.tree
-        time_aliases = _module_aliases(tree, "time")
-        datetime_aliases = _module_aliases(tree, "datetime")
-        time_froms = _from_imports(tree, "time")
-        datetime_froms = _from_imports(tree, "datetime")
+        time_aliases = module_aliases(tree, "time")
+        datetime_aliases = module_aliases(tree, "datetime")
+        time_froms = from_imports(tree, "time")
+        datetime_froms = from_imports(tree, "datetime")
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue

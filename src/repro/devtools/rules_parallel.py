@@ -22,11 +22,13 @@ statically:
 from __future__ import annotations
 
 import ast
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.devtools.dataflow import (
     module_aliases,
+    module_index,
     name_bindings,
     scope_bodies,
     walk_shallow,
@@ -45,13 +47,11 @@ __all__ = [
 
 def _executor_names(tree: ast.Module) -> set[str]:
     """Local names bound to ``ProcessPoolExecutor`` by imports."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "concurrent.futures":
-            for item in node.names:
-                if item.name == "ProcessPoolExecutor":
-                    names.add(item.asname or item.name)
-    return names
+    return {
+        local
+        for local, original in module_index(tree).from_imports.get("concurrent.futures", ())
+        if original == "ProcessPoolExecutor"
+    }
 
 
 def _is_executor_call(node: ast.expr, executor_names: set[str]) -> bool:
@@ -121,16 +121,20 @@ def _scope_submissions(
                     yield Submission(value, value.lineno, value.col_offset, "initializer")
 
 
-def _module_submissions(tree: ast.Module) -> Iterator[tuple[list[ast.stmt], Submission]]:
+# RPL030-RPL032 each ask for the same module's submissions in turn.
+@functools.lru_cache(maxsize=1)
+def _module_submissions(tree: ast.Module) -> tuple[tuple[list[ast.stmt], Submission], ...]:
     executor_names = _executor_names(tree)
-    uses_executor = bool(executor_names) or any(
-        isinstance(n, ast.Attribute) and n.attr == "ProcessPoolExecutor"
-        for n in ast.walk(tree)
+    uses_executor = bool(executor_names) or (
+        "ProcessPoolExecutor" in module_index(tree).attributes
     )
     if not uses_executor:
-        return
-    for _scope, body in scope_bodies(tree):
-        yield from ((body, sub) for sub in _scope_submissions(body, executor_names))
+        return ()
+    return tuple(
+        (body, sub)
+        for _scope, body in scope_bodies(tree)
+        for sub in _scope_submissions(body, executor_names)
+    )
 
 
 def _module_functions(tree: ast.Module) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
@@ -376,14 +380,14 @@ class BlockingAsyncRule(FileRule):
         for target, attrs in self._BLOCKING_ATTRS.items():
             for alias in module_aliases(tree, target):
                 aliases.setdefault(alias, set()).update(attrs)
-        from_imports: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module in self._BLOCKING_ATTRS:
-                blocked = self._BLOCKING_ATTRS[node.module]
-                for item in node.names:
-                    if item.name in blocked:
-                        from_imports.add(item.asname or item.name)
-        for scope in ast.walk(tree):
+        index = module_index(tree)
+        from_imports = {
+            local
+            for source, blocked in self._BLOCKING_ATTRS.items()
+            for local, original in index.from_imports.get(source, ())
+            if original in blocked
+        }
+        for scope in index.functions:
             if not isinstance(scope, ast.AsyncFunctionDef):
                 continue
             for node in walk_shallow(scope.body):

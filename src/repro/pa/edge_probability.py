@@ -13,7 +13,12 @@ Renren edges are undirected, so the destination is chosen per rule (§3.2):
 
 The tracker replays the stream once, maintains per-degree node counts, and
 produces a checkpoint every ``checkpoint_every`` edges (the paper uses
-5000).
+5000).  The denominator is kept lazily: each degree bucket's sum is folded
+forward only when that bucket's node count changes and is materialized at
+checkpoints, so an edge costs O(1) rather than O(``max_degree``).  Every
+sum is an exact integer, so the checkpoints are bit-identical to adding
+the whole count array on every edge (the reference in
+``tests/oracles/edge_probability.py``).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.events import EventStream
+from repro.obs import get_recorder
 from repro.util.rng import make_rng
 from repro.util.stats import linear_fit_loglog, mean_squared_error
 
@@ -100,51 +106,80 @@ class EdgeProbabilityTracker:
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        size = self.max_degree + 1
-        degree = dict.fromkeys((ev.node for ev in stream.nodes), 0)
-        degree_count = np.zeros(size, dtype=np.int64)
-        numerator = np.zeros(size, dtype=np.float64)
-        denominator = np.zeros(size, dtype=np.float64)
-        # Nodes exist from their arrival; replay interleaves arrivals and
-        # edges chronologically so degree-0 counts are correct.
-        checkpoints: list[PeCheckpoint] = []
-        edges_seen = 0
-        node_iter = iter(stream.nodes)
-        pending_node = next(node_iter, None)
-        for ev in stream.edges:
-            while pending_node is not None and pending_node.time <= ev.time:
-                degree_count[0] += 1
-                pending_node = next(node_iter, None)
-            dest_degree = self._destination_degree(degree[ev.u], degree[ev.v])
-            d = min(dest_degree, self.max_degree)
-            numerator[d] += 1
-            denominator += degree_count
-            self._bump(degree, degree_count, ev.u)
-            self._bump(degree, degree_count, ev.v)
-            edges_seen += 1
-            if edges_seen % checkpoint_every == 0 and edges_seen >= min_edges:
-                node_count = int(degree_count.sum())
-                checkpoints.append(
-                    self._checkpoint(edges_seen, ev.time, numerator, denominator, node_count)
-                )
-                if self.mode == "window":
-                    numerator[:] = 0
-                    denominator[:] = 0
-        return checkpoints
+        with get_recorder().span("pa.edge_probability", rule=self.rule.value, mode=self.mode):
+            return self._replay(stream, checkpoint_every, min_edges)
 
     # -- internals ------------------------------------------------------
 
-    def _destination_degree(self, du: int, dv: int) -> int:
-        if self.rule is DestinationRule.HIGHER_DEGREE:
-            return max(du, dv)
-        return du if self._rng.random() < 0.5 else dv
-
-    def _bump(self, degree: dict[int, int], degree_count: np.ndarray, node: int) -> None:
-        d = degree[node]
-        capped = min(d, self.max_degree)
-        degree_count[capped] -= 1
-        degree[node] = d + 1
-        degree_count[min(d + 1, self.max_degree)] += 1
+    def _replay(
+        self, stream: EventStream, checkpoint_every: int, min_edges: int
+    ) -> list[PeCheckpoint]:
+        # Bucket d's denominator is ``acc[d] + count[d] * (edges - since[d])``:
+        # folded into ``acc`` whenever ``count[d]`` changes, materialized at
+        # checkpoints (see the module docstring).
+        cap = self.max_degree
+        size = cap + 1
+        higher = self.rule is DestinationRule.HIGHER_DEGREE
+        draw = self._rng.random
+        degree = dict.fromkeys((ev.node for ev in stream.nodes), 0)
+        count = [0] * size
+        acc = [0] * size
+        since = [0] * size
+        numerator = [0] * size
+        # Nodes exist from their arrival; replay interleaves arrivals and
+        # edges chronologically so degree-0 counts are correct.
+        checkpoints: list[PeCheckpoint] = []
+        edges = 0
+        node_times = [ev.time for ev in stream.nodes]
+        next_node = 0
+        n_nodes = len(node_times)
+        for ev in stream.edges:
+            if next_node < n_nodes and node_times[next_node] <= ev.time:
+                arrived = next_node
+                while next_node < n_nodes and node_times[next_node] <= ev.time:
+                    next_node += 1
+                acc[0] += count[0] * (edges - since[0])
+                since[0] = edges
+                count[0] += next_node - arrived
+            u, v = ev.u, ev.v
+            du, dv = degree[u], degree[v]
+            if higher:
+                dest = du if du >= dv else dv
+            else:
+                dest = du if draw() < 0.5 else dv
+            numerator[dest if dest < cap else cap] += 1
+            edges += 1
+            for d in (du, dv):
+                if d >= cap:
+                    continue  # the capped bucket keeps its count
+                acc[d] += count[d] * (edges - since[d])
+                since[d] = edges
+                count[d] -= 1
+                acc[d + 1] += count[d + 1] * (edges - since[d + 1])
+                since[d + 1] = edges
+                count[d + 1] += 1
+            degree[u] = du + 1
+            degree[v] = dv + 1
+            if edges % checkpoint_every == 0 and edges >= min_edges:
+                counts = np.array(count, dtype=np.int64)
+                denominator = (
+                    np.array(acc, dtype=np.int64)
+                    + counts * (edges - np.array(since, dtype=np.int64))
+                ).astype(np.float64)
+                checkpoints.append(
+                    self._checkpoint(
+                        edges,
+                        ev.time,
+                        np.array(numerator, dtype=np.float64),
+                        denominator,
+                        int(counts.sum()),
+                    )
+                )
+                if self.mode == "window":
+                    numerator = [0] * size
+                    acc = [0] * size
+                    since = [edges] * size
+        return checkpoints
 
     def _checkpoint(
         self,

@@ -17,11 +17,17 @@ Layout mirrors the library:
   length, degree assortativity (``repro.metrics``);
 * :mod:`~tests.oracles.louvain` — the dict-of-dicts Louvain level loop
   (``repro.community.louvain``);
+* :mod:`~tests.oracles.modularity` — modularity and per-community
+  internal-edge/degree counts over adjacency sets
+  (``repro.community.modularity``);
 * :mod:`~tests.oracles.tracking` — the per-pair community matcher
-  (``repro.kernels.matching``).
+  (``repro.kernels.matching``);
+* :mod:`~tests.oracles.edge_probability` — the pe(d) replay with an eager
+  per-edge denominator (``repro.pa.edge_probability``).
 """
 
 from tests.oracles.components import connected_components, largest_component
+from tests.oracles.edge_probability import edge_probability_checkpoints
 from tests.oracles.louvain import louvain
 from tests.oracles.metrics import (
     average_clustering,
@@ -29,15 +35,19 @@ from tests.oracles.metrics import (
     degree_assortativity,
     local_clustering,
 )
+from tests.oracles.modularity import community_edge_stats, modularity
 from tests.oracles.tracking import match_communities
 
 __all__ = [
     "average_clustering",
     "average_path_length_sampled",
+    "community_edge_stats",
     "connected_components",
     "degree_assortativity",
+    "edge_probability_checkpoints",
     "largest_component",
     "local_clustering",
     "louvain",
     "match_communities",
+    "modularity",
 ]

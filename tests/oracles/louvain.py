@@ -15,7 +15,6 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.community.louvain import LouvainResult
-from repro.community.modularity import modularity
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.louvain import (
     MAX_LEVELS as _MAX_LEVELS,
@@ -27,6 +26,7 @@ from repro.kernels.louvain import (
     initial_assignment as _initial_assignment,
 )
 from repro.util.rng import make_rng
+from tests.oracles.modularity import modularity
 
 __all__ = ["louvain"]
 

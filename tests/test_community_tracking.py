@@ -15,6 +15,21 @@ def clique(base: int, size: int) -> list[tuple[int, int]]:
     return [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
 
 
+def _clique_of(members: list[int]) -> list[tuple[int, int]]:
+    return [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
+
+
+def _build_in_order(
+    nodes: list[int], edges: list[tuple[int, int]], reverse: bool
+) -> GraphSnapshot:
+    g = GraphSnapshot()
+    for node in reversed(nodes) if reverse else nodes:
+        g.add_node(node)
+    for u, v in reversed(edges) if reverse else edges:
+        g.add_edge(u, v)
+    return g
+
+
 class TestJaccard:
     def test_identical(self):
         assert jaccard({1, 2}, {1, 2}) == 1.0
@@ -97,6 +112,29 @@ class TestStepMechanics:
             splits = [e for e in tracker.events if e.kind == "split"]
             assert len(splits) == 1
             assert splits[0].size_ratio == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_strongest_tie_pins_ties_to_smallest_lineage(self, reverse):
+        # The dying community D has one edge to A and one to B, and merges
+        # into B, the larger lineage id.  The equal counts must resolve to
+        # the smallest id (A), so the tie is not B's, whichever order the
+        # members and edges were inserted in.  D's ids collide in an 8-slot
+        # set table, so a count that walked D's member set in iteration
+        # order would see the B edge first in one build and the A edge first
+        # in the other.
+        d, a, b = [1, 9, 17, 25], [100, 101, 102, 103, 104], list(range(200, 206))
+        cliques = _clique_of(d) + _clique_of(a) + _clique_of(b)
+        before = cliques + [(25, 100), (1, 200)]
+        after = cliques + [(25, 100)] + [(u, v) for u in d for v in b]
+        tracker = CommunityTracker(min_size=3, seed=0)
+        first = tracker.step(1.0, _build_in_order(d + a + b, before, reverse))
+        lineage = {min(st.members): lin for lin, st in first.states.items()}
+        assert sorted(lineage.values()) == [0, 1, 2]
+        assert lineage[1] < lineage[100] < lineage[200]
+        tracker.step(2.0, _build_in_order(d + a + b, after, reverse))
+        (merge,) = [e for e in tracker.events if e.kind == "merge"]
+        assert (merge.subject, merge.other) == (lineage[1], lineage[200])
+        assert merge.strongest_tie is False
 
     def test_min_size_filter(self):
         g = GraphSnapshot.from_edges(clique(0, 5) + clique(100, 12))

@@ -17,16 +17,23 @@ import pytest
 
 import repro.community.tracking as tracking
 from repro.community.louvain import louvain
-from repro.community.tracking import track_stream
+from repro.community.modularity import (
+    community_edge_stats,
+    modularity,
+    partition_communities,
+)
+from repro.community.tracking import CommunityTracker, track_deltas, track_stream
 from repro.gen.config import presets
 from repro.gen.renren import generate_trace
 from repro.graph.components import connected_components, largest_component
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.snapshot import GraphSnapshot
+from repro.kernels.csr import CSRGraph
 from repro.kernels.matching import match_communities_csr
 from repro.metrics.assortativity import degree_assortativity
 from repro.metrics.clustering import average_clustering, local_clustering
 from repro.metrics.paths import average_path_length_sampled
+from repro.pa.edge_probability import DestinationRule, EdgeProbabilityTracker
 from tests import oracles
 
 # -- graph corpus ----------------------------------------------------------
@@ -163,6 +170,87 @@ def test_louvain_seeded_parity(case):
     assert py.levels == kr.levels
 
 
+# -- modularity and community edge counts ----------------------------------
+
+PARTITIONS = ["louvain", "singletons", "one-block", "random-3", "random-40"]
+
+
+def _partition(g: GraphSnapshot, kind: str) -> dict[int, int]:
+    nodes = list(g.nodes())
+    if kind == "louvain":
+        return louvain(g, delta=0.04, seed=3).partition
+    if kind == "singletons":
+        return {node: node for node in nodes}
+    if kind == "one-block":
+        return dict.fromkeys(nodes, 7)
+    # Shuffled, negative and sparse labels, so ascending label order and
+    # first-appearance order disagree.
+    k = int(kind.split("-")[1])
+    rng = np.random.default_rng((41, k, len(nodes)))
+    labels = rng.permutation(10 * k)[:k] * 13 - 50
+    return {node: int(labels[rng.integers(k)]) for node in nodes}
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("kind", PARTITIONS)
+def test_modularity_parity(case, kind):
+    g = _build(case)
+    partition = _partition(g, kind)
+    expected = oracles.modularity(g, partition)
+    assert modularity(g, partition) == expected
+    assert modularity(g, partition, csr=CSRGraph.from_snapshot(g)) == expected
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("kind", PARTITIONS)
+def test_community_edge_stats_parity(case, kind):
+    g = _build(case)
+    partition = _partition(g, kind)
+    stats = community_edge_stats(CSRGraph.from_snapshot(g), partition)
+    # First-appearance order of the labels in adjacency insertion order.
+    assert list(stats) == list(dict.fromkeys(partition[node] for node in g.adjacency))
+    for label, members in partition_communities(partition).items():
+        assert stats[label] == oracles.community_edge_stats(g, members), label
+
+
+# -- pe(d) -----------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _pe_stream():
+    return generate_trace(presets.tiny(), seed=23)
+
+
+@pytest.mark.parametrize("rule", list(DestinationRule))
+@pytest.mark.parametrize("mode", ["window", "cumulative"])
+@pytest.mark.parametrize(
+    ("max_degree", "min_support", "every", "min_edges"),
+    [(4096, 20, 500, 0), (4, 1, 333, 1000)],
+)
+def test_edge_probability_parity(rule, mode, max_degree, min_support, every, min_edges):
+    stream = _pe_stream()
+    assert len(stream.edges) % every != 0  # a trailing partial window
+
+    def tracker():
+        return EdgeProbabilityTracker(
+            rule=rule, mode=mode, max_degree=max_degree, min_support=min_support, seed=7
+        )
+
+    kr = tracker().process(stream, checkpoint_every=every, min_edges=min_edges)
+    py = oracles.edge_probability_checkpoints(
+        tracker(), stream, checkpoint_every=every, min_edges=min_edges
+    )
+    assert len(kr) == len(py) > 1
+    assert kr[0].edge_count >= min_edges
+    for a, b in zip(kr, py, strict=True):
+        assert (a.edge_count, a.time, a.node_count) == (b.edge_count, b.time, b.node_count)
+        for name in ("degrees", "pe", "support"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        for name in ("alpha", "coefficient", "mse"):
+            assert _identical(getattr(a, name), getattr(b, name)), name
+
+
 # -- community matcher -----------------------------------------------------
 
 
@@ -211,7 +299,9 @@ def test_tracking_parity(monkeypatch):
     kr = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
     used: list[str] = []
 
-    def oracle_louvain(*args, **kwargs):
+    def oracle_louvain(*args, csr=None, **kwargs):
+        # The tracker hands Louvain the snapshot's CSR; the oracle works on
+        # the dict snapshot alone, so it accepts and ignores it.
         used.append("louvain")
         return oracles.louvain(*args, **kwargs)
 
@@ -223,6 +313,21 @@ def test_tracking_parity(monkeypatch):
     monkeypatch.setattr(tracking, "match_communities_csr", oracle_match)
     py = track_stream(stream, interval=4.0, min_nodes=32, seed=5)
     assert {"louvain", "match"} <= set(used)
+    _assert_same_tracking(py, kr)
+
+
+def test_track_deltas_matches_separate_runs():
+    """One shared replay per δ sweep gives each δ exactly its own run."""
+    stream = generate_trace(presets.tiny(), seed=11)
+    deltas = (0.0001, 0.01, 0.04, 0.3)
+    shared = track_deltas(stream, deltas, interval=4.0, min_nodes=32, seed=5)
+    assert list(shared) == list(deltas)
+    for delta in deltas:
+        alone = track_stream(stream, interval=4.0, delta=delta, min_nodes=32, seed=5)
+        _assert_same_tracking(shared[delta], alone)
+
+
+def _assert_same_tracking(py: CommunityTracker, kr: CommunityTracker) -> None:
     assert len(py.snapshots) == len(kr.snapshots) > 0
     for a, b in zip(py.snapshots, kr.snapshots, strict=True):
         assert a.time == b.time
@@ -250,3 +355,12 @@ def test_tracking_parity(monkeypatch):
     for lin in py.lineages:
         assert py.lineages[lin].death_time == kr.lineages[lin].death_time
         assert py.lineages[lin].death_reason == kr.lineages[lin].death_reason
+        assert len(py.lineages[lin].states) == len(kr.lineages[lin].states)
+        for x, y in zip(py.lineages[lin].states, kr.lineages[lin].states, strict=True):
+            assert (x.time, x.members, x.internal_edges, x.degree_sum) == (
+                y.time,
+                y.members,
+                y.internal_edges,
+                y.degree_sum,
+            )
+            assert _identical(x.similarity, y.similarity)

@@ -253,16 +253,32 @@ def root_coverage(payload):
     return covered / extent
 
 
+def traced_experiment(experiment, tmp_path, capsys):
+    """Trace ``repro experiment <experiment> --preset tiny_merge``; returns the payload."""
+    from repro.obs import read_jsonl
+
+    out = tmp_path / f"{experiment}.trace.jsonl"
+    args = ["experiment", experiment, "--preset", "tiny_merge", "--trace", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
+    return read_jsonl(out)
+
+
+def span_names(payload):
+    return {span["name"] for lane in payload["lanes"] for span in lane["spans"]}
+
+
 class TestExperimentTraceCoverage:
     def test_root_spans_cover_experiment_trace(self, tmp_path, capsys):
         # Every second of a traced experiment sits under a root span: the
         # experiment's own span parents the figure code's kernel calls.
-        from repro.obs import read_jsonl
-
-        out = tmp_path / "f4a.trace.jsonl"
-        args = ["experiment", "F4a", "--preset", "tiny_merge", "--trace", str(out)]
-        assert main(args) == 0
-        capsys.readouterr()
-        payload = read_jsonl(out)
+        payload = traced_experiment("F4a", tmp_path, capsys)
         assert root_coverage(payload) >= 0.95
+        # The δ sweep's one shared replay: per-snapshot replay and CSR
+        # spans, then one step span per δ.
+        assert {"replay.advance", "kernels.csr_build", "community.step"} <= span_names(payload)
 
+    def test_pe_pass_has_a_span(self, tmp_path, capsys):
+        payload = traced_experiment("F3ab", tmp_path, capsys)
+        assert root_coverage(payload) >= 0.95
+        assert "pa.edge_probability" in span_names(payload)
